@@ -1,20 +1,23 @@
 //! The batch simulation kernel: one pass over a trace advances many
 //! machine configurations in lockstep.
 //!
-//! Every figure and ablation in the paper is a cartesian product of
-//! benchmarks × machine configurations, and before this module each cell
-//! re-walked its trace from scratch. [`run_batch`] instead walks the
-//! shared [`Trace`] **once** per batch, stepping each configuration's
-//! `Pipeline` at every trace slot, so the structure-of-arrays pc/result
-//! columns are read once per batch and stay hot in cache while the (small)
-//! predictor tables and scheduler state of each config are advanced.
+//! [`run_batch`] walks the shared [`Trace`] **once** per batch in blocks of
+//! 4096 slots, so the structure-of-arrays trace columns stay cache-hot
+//! while every configuration's scheduler consumes the block.
 //!
-//! The serial machines are thin wrappers over the same stepper:
-//! [`IdealMachine::run`](crate::IdealMachine::run) and
-//! [`RealisticMachine::run_traced`](crate::RealisticMachine::run_traced)
-//! construct a single `Pipeline` and drive it to completion, which is
-//! what makes batch-vs-serial byte-identity a structural property rather
-//! than a testing aspiration (the differential test in
+//! Value prediction is hoisted out of the pipelines. Without the §4 banked
+//! front-end, every value producer looks up and commits in trace order, so
+//! a predictor's outcomes are independent of machine timing: the batch
+//! runs one *value stream* per distinct [`VpConfig`] among its ideal and
+//! non-banked realistic pipelines, filling one reused disposition column
+//! per block that all of them schedule from and whose statistics all of
+//! them report. Banked pipelines keep a private front-end, because bank
+//! grants depend on each pipeline's own fetch groups.
+//!
+//! The serial machines ([`IdealMachine::run`](crate::IdealMachine::run),
+//! [`RealisticMachine::run_traced`](crate::RealisticMachine::run_traced))
+//! are one-configuration batches through the same block loop, which makes
+//! batch-vs-serial byte-identity structural (the differential test in
 //! `fetchvp-experiments` checks it anyway).
 //!
 //! # Example
@@ -49,15 +52,17 @@
 //! # }
 //! ```
 
+use std::ops::Range;
+
 use fetchvp_fetch::FetchEngine;
-use fetchvp_predictor::{BankedFrontEnd, SlotGrant, ValuePredictor};
-use fetchvp_trace::{Trace, TraceView};
+use fetchvp_predictor::{BankedFrontEnd, SlotGrant, SlotOutcome, ValuePredictor};
+use fetchvp_trace::{Slot, Trace, TraceView};
 use fetchvp_tracing::{Event, EventSink, Lane};
 
-use crate::ideal::{disposition_for, IdealConfig};
+use crate::ideal::IdealConfig;
 use crate::realistic::RealisticConfig;
-use crate::sched::{Scheduler, VpDisposition};
-use crate::vp::VpConfig;
+use crate::sched::{Sched, Scheduler, VpDisposition};
+use crate::vp::{outcome, ValueStream, VpConfig};
 use crate::MachineResult;
 
 /// One machine configuration a [`run_batch`] call can advance.
@@ -81,19 +86,60 @@ impl From<RealisticConfig> for MachineConfig {
     }
 }
 
-/// The value-prediction path of one pipeline: an optional real predictor,
-/// optionally behind the §4 banked front-end.
+/// Where one pipeline's value-prediction dispositions come from.
 enum ValuePath {
-    Banked(BankedFrontEnd<Box<dyn ValuePredictor>>),
-    Plain(Option<Box<dyn ValuePredictor>>),
+    /// The batch's value stream with this index (block-relative column).
+    Stream(usize),
+    /// A private §4 banked front-end (group-relative dispositions).
+    Banked(BankedPath),
 }
 
-/// The fetch front-end state of one pipeline. The ideal machine's fetch is
-/// a pure function of the slot index; the realistic machine carries the
-/// fetch engine plus the in-flight group's bookkeeping between steps.
+/// The §4 banked front-end plus per-group scratch, reused every group.
+struct BankedPath {
+    fe: BankedFrontEnd<Box<dyn ValuePredictor>>,
+    /// Trace index of the current group's first slot.
+    start: usize,
+    pcs: Vec<u64>,
+    outcomes: Vec<SlotOutcome>,
+    dispositions: Vec<VpDisposition>,
+    /// Bank conflicts of the current group (tracing runs only).
+    conflicts: Vec<(u64, u32)>,
+}
+
+impl BankedPath {
+    /// Routes one fetch group's value producers, then commits them.
+    fn predict_group(&mut self, view: TraceView<'_>, group: Range<usize>, tracing: bool) {
+        self.pcs.clear();
+        self.pcs
+            .extend(view.slots_in(group.clone()).filter(|r| r.produces_value()).map(|r| r.pc()));
+        self.fe.predict_group_into(&self.pcs, &mut self.outcomes);
+        let mut outcomes = self.outcomes.iter();
+        self.start = group.start;
+        self.dispositions.clear();
+        for rec in view.slots_in(group) {
+            if !rec.produces_value() {
+                self.dispositions.push(VpDisposition::None);
+                continue;
+            }
+            let slot = outcomes.next().expect("one outcome per value producer");
+            if tracing && slot.grant == SlotGrant::DeniedConflict {
+                self.conflicts.push((rec.pc(), slot.bank));
+            }
+            self.fe.commit(rec.pc(), rec.result(), slot.prediction);
+            self.dispositions.push(outcome(slot.prediction, rec.result()));
+        }
+    }
+}
+
+/// The fetch front-end state of one pipeline. The ideal machine fetches
+/// `fetch_rate` consecutive slots per cycle; the realistic machine carries
+/// the fetch engine plus the in-flight group's bookkeeping between steps.
 enum Front {
     Ideal {
         fetch_rate: usize,
+        cycle: u64,
+        /// Slots still to fetch in `cycle` (no per-slot division).
+        left: usize,
     },
     Realistic {
         engine: Box<dyn FetchEngine>,
@@ -101,125 +147,106 @@ enum Front {
         branch_penalty: u64,
         /// Cycle the current fetch group was fetched in.
         fetch_cycle: u64,
-        /// Trace index of the current group's first instruction.
-        group_start: usize,
         /// Trace index one past the current group's last instruction; a
         /// step at this index fetches the next group.
         group_end: usize,
-        /// Index within the group of a mispredicted control transfer.
+        /// Trace index of the group's mispredicted control transfer.
         mispredict: Option<usize>,
         /// Cycle fetch may resume after the group's misprediction.
         resume_after: Option<u64>,
-        /// Per-group scratch, allocated once and reused every group.
-        dispositions: Vec<VpDisposition>,
-        pcs: Vec<u64>,
-        /// Bank conflicts of the current group (tracing runs only).
-        conflicts: Vec<(u64, u32)>,
     },
 }
 
-/// One machine configuration's complete execution state, advanced one
-/// trace slot at a time so many pipelines can share a single trace walk.
-pub(crate) struct Pipeline {
+/// One machine configuration's execution state, advanced one block of
+/// trace slots at a time so many pipelines share one trace walk.
+struct Pipeline {
     sched: Scheduler,
-    vp_mode: VpConfig,
-    value_path: ValuePath,
+    value: ValuePath,
     front: Front,
 }
 
 impl Pipeline {
-    /// Builds the execution state for one configuration.
+    /// Builds the execution state for one configuration, joining (or
+    /// opening) the value stream of its `VpConfig` unless it is banked.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as the corresponding machine
     /// constructor: a zero fetch rate, window or issue width.
-    pub(crate) fn new(config: &MachineConfig) -> Pipeline {
-        match *config {
-            MachineConfig::Ideal(cfg) => {
-                assert!(cfg.fetch_rate > 0, "fetch rate must be positive");
-                assert!(cfg.window > 0, "window must be positive");
-                let mut sched = Scheduler::new(cfg.window, Some(cfg.fetch_rate));
-                sched.set_exec_width(cfg.exec_units);
-                sched.set_memory_deps(cfg.memory_deps);
-                let vp = match cfg.vp {
-                    VpConfig::Predictor(kind) => Some(kind.build()),
-                    _ => None,
-                };
-                Pipeline {
-                    sched,
-                    vp_mode: cfg.vp,
-                    value_path: ValuePath::Plain(vp),
-                    front: Front::Ideal { fetch_rate: cfg.fetch_rate },
-                }
+    fn new(config: &MachineConfig, streams: &mut Vec<ValueStream>) -> Pipeline {
+        let (sched, vp, banked, front) = match *config {
+            MachineConfig::Ideal(c) => {
+                assert!(c.fetch_rate > 0, "fetch rate must be positive");
+                let mut sched = Scheduler::new(c.window, Some(c.fetch_rate));
+                sched.set_exec_width(c.exec_units);
+                sched.set_memory_deps(c.memory_deps);
+                let front = Front::Ideal { fetch_rate: c.fetch_rate, cycle: 0, left: c.fetch_rate };
+                (sched, c.vp, None, front)
             }
-            MachineConfig::Realistic(cfg) => {
-                assert!(cfg.window > 0, "window must be positive");
-                assert!(cfg.issue_width > 0, "issue width must be positive");
-                let mut sched = Scheduler::with_value_penalty(
-                    cfg.window,
-                    Some(cfg.issue_width),
-                    cfg.value_penalty,
-                );
-                sched.set_exec_width(cfg.exec_units);
-                sched.set_memory_deps(cfg.memory_deps);
-                let predictor = match cfg.vp {
-                    VpConfig::Predictor(kind) => Some(kind.build()),
-                    _ => None,
+            MachineConfig::Realistic(c) => {
+                assert!(c.issue_width > 0, "issue width must be positive");
+                let mut sched =
+                    Scheduler::with_value_penalty(c.window, Some(c.issue_width), c.value_penalty);
+                sched.set_exec_width(c.exec_units);
+                sched.set_memory_deps(c.memory_deps);
+                let front = Front::Realistic {
+                    engine: c.front_end.build(),
+                    issue_width: c.issue_width,
+                    branch_penalty: c.branch_penalty,
+                    fetch_cycle: 0,
+                    group_end: 0,
+                    mispredict: None,
+                    resume_after: None,
                 };
-                let value_path = match (predictor, cfg.banked) {
-                    (Some(p), Some(bcfg)) => ValuePath::Banked(BankedFrontEnd::new(bcfg, p)),
-                    (p, _) => ValuePath::Plain(p),
-                };
-                Pipeline {
-                    sched,
-                    vp_mode: cfg.vp,
-                    value_path,
-                    front: Front::Realistic {
-                        engine: cfg.front_end.build(),
-                        issue_width: cfg.issue_width,
-                        branch_penalty: cfg.branch_penalty,
-                        fetch_cycle: 0,
-                        group_start: 0,
-                        group_end: 0,
-                        mispredict: None,
-                        resume_after: None,
-                        dispositions: Vec::new(),
-                        pcs: Vec::new(),
-                        conflicts: Vec::new(),
-                    },
-                }
+                (sched, c.vp, c.banked, front)
             }
-        }
+        };
+        let value = match (vp, banked) {
+            (VpConfig::Predictor(kind), Some(bcfg)) => ValuePath::Banked(BankedPath {
+                fe: BankedFrontEnd::new(bcfg, kind.build()),
+                start: 0,
+                pcs: Vec::new(),
+                outcomes: Vec::new(),
+                dispositions: Vec::new(),
+                conflicts: Vec::new(),
+            }),
+            _ => {
+                if !streams.iter().any(|s| s.config == vp) {
+                    streams.push(ValueStream::new(vp));
+                }
+                ValuePath::Stream(streams.iter().position(|s| s.config == vp).expect("opened"))
+            }
+        };
+        Pipeline { sched, value, front }
     }
 
-    /// Advances this pipeline over the trace slots `start..end`. Callers
-    /// must cover every slot of `view` exactly once, in order (any block
-    /// partitioning), before calling [`Pipeline::finish`]. The sink is
-    /// passed as `&mut Option<…>` so a tracing caller can lend the same
-    /// sink to every block.
-    ///
-    /// The front-end and value-path variants are resolved once per block,
-    /// not per slot — at one trace slot per call the dispatch overhead
-    /// dominates the work, and the batch loop tiles thousands of slots per
-    /// call precisely so it doesn't.
-    pub(crate) fn run_block(
+    /// Advances this pipeline over the trace slots `start..end`, after the
+    /// batch has filled every stream's column for exactly that block.
+    /// Callers must cover every slot of `view` exactly once, in order (any
+    /// block partitioning), before calling [`Pipeline::finish`]. The
+    /// front-end and value-path variants are resolved once per block (per
+    /// group, for realistic front-ends), not per slot.
+    fn run_block(
         &mut self,
         view: TraceView<'_>,
         start: usize,
         end: usize,
+        streams: &[ValueStream],
         sink: &mut Option<&mut dyn EventSink>,
     ) {
-        let Pipeline { sched, vp_mode, value_path, front } = self;
+        let Pipeline { sched, value, front } = self;
         match front {
-            Front::Ideal { fetch_rate } => {
-                let ValuePath::Plain(predictor) = value_path else {
+            Front::Ideal { fetch_rate, cycle, left } => {
+                let ValuePath::Stream(n) = *value else {
                     unreachable!("the ideal machine has no banked path")
                 };
-                for rec in view.slots_in(start..end) {
-                    let fetch_cycle = (rec.index() / *fetch_rate) as u64;
-                    let disposition = disposition_for(rec, vp_mode, predictor);
-                    sched.schedule(rec, fetch_cycle, disposition);
+                for (rec, &vp) in view.slots_in(start..end).zip(&streams[n].column) {
+                    sched.schedule(rec, *cycle, vp);
+                    *left -= 1;
+                    if *left == 0 {
+                        *left = *fetch_rate;
+                        *cycle += 1;
+                    }
                 }
             }
             Front::Realistic {
@@ -227,13 +254,9 @@ impl Pipeline {
                 issue_width,
                 branch_penalty,
                 fetch_cycle,
-                group_start,
                 group_end,
                 mispredict,
                 resume_after,
-                dispositions,
-                pcs,
-                conflicts,
             } => {
                 // Group-at-a-time, clamped to the block: a group that spans
                 // the block boundary is resumed by the next call, its
@@ -243,111 +266,37 @@ impl Pipeline {
                     if i == *group_end {
                         let group = engine.fetch(view, i, *issue_width);
                         assert!(group.len > 0, "fetch engine must make progress");
-                        *group_start = i;
                         *group_end = i + group.len;
-                        *mispredict = group.mispredict;
+                        *mispredict = group.mispredict.map(|k| i + k);
                         *resume_after = None;
-                        let group_range = i..*group_end;
-
-                        // Value predictions for the whole fetch group. With
-                        // the banked front-end the group's PCs contend for
-                        // table banks; otherwise each instruction performs
-                        // a private lookup.
-                        dispositions.clear();
-                        match value_path {
-                            ValuePath::Banked(fe) => {
-                                pcs.clear();
-                                pcs.extend(
-                                    view.slots_in(group_range.clone())
-                                        .filter(|r| r.produces_value())
-                                        .map(|r| r.pc()),
-                                );
-                                let outcomes = fe.predict_group(pcs);
-                                let mut it = outcomes.into_iter();
-                                let tracing = sink.is_some();
-                                dispositions.extend(view.slots_in(group_range).map(|rec| {
-                                    if !rec.produces_value() {
-                                        return VpDisposition::None;
-                                    }
-                                    let slot = it.next().expect("one outcome per value producer");
-                                    if tracing && slot.grant == SlotGrant::DeniedConflict {
-                                        conflicts.push((rec.pc(), slot.bank));
-                                    }
-                                    fe.commit(rec.pc(), rec.result(), slot.prediction);
-                                    match slot.prediction {
-                                        None => VpDisposition::None,
-                                        Some(v) if v == rec.result() => VpDisposition::Correct,
-                                        Some(_) => VpDisposition::Wrong,
-                                    }
-                                }));
-                            }
-                            ValuePath::Plain(predictor) => {
-                                dispositions.extend(
-                                    view.slots_in(group_range)
-                                        .map(|rec| disposition_for(rec, vp_mode, predictor)),
-                                );
-                            }
+                        // With the banked front-end the group's PCs contend
+                        // for table banks at fetch time.
+                        if let ValuePath::Banked(banked) = value {
+                            banked.predict_group(view, i..*group_end, sink.is_some());
                         }
                     }
 
                     let stop = (*group_end).min(end);
-                    let base = *group_start;
+                    let (dispositions, base) = match &*value {
+                        ValuePath::Stream(n) => (&streams[*n].column[..], start),
+                        ValuePath::Banked(banked) => (&banked.dispositions[..], banked.start),
+                    };
                     for (rec, j) in view.slots_in(i..stop).zip(i..stop) {
-                        let k = j - base;
-                        let t = sched.schedule(rec, *fetch_cycle, dispositions[k]);
+                        let vp = dispositions[j - base];
+                        let t = sched.schedule(rec, *fetch_cycle, vp);
                         if let Some(sink) = sink.as_deref_mut() {
-                            let (seq, pc) = (rec.seq(), rec.pc());
-                            sink.record(Event::span(
-                                Lane::Fetch,
-                                *fetch_cycle,
-                                1,
-                                "instr",
-                                seq,
-                                pc,
-                            ));
-                            sink.record(Event::span(
-                                Lane::Dispatch,
-                                t.dispatch,
-                                1,
-                                "instr",
-                                seq,
-                                pc,
-                            ));
-                            sink.record(Event::span(Lane::Issue, t.execute, 1, "instr", seq, pc));
-                            sink.record(Event::span(
-                                Lane::Writeback,
-                                t.complete,
-                                1,
-                                "instr",
-                                seq,
-                                pc,
-                            ));
-                            match dispositions[k] {
-                                VpDisposition::Correct => sink.record(Event::instant(
-                                    Lane::Predict,
-                                    *fetch_cycle,
-                                    "vp_correct",
-                                    seq,
-                                    pc,
-                                )),
-                                VpDisposition::Wrong => sink.record(Event::instant(
-                                    Lane::Predict,
-                                    *fetch_cycle,
-                                    "vp_wrong",
-                                    seq,
-                                    pc,
-                                )),
-                                VpDisposition::None => {}
-                            }
+                            witness(sink, rec, *fetch_cycle, t, vp);
                         }
-                        if *mispredict == Some(k) {
+                        if *mispredict == Some(j) {
                             *resume_after = Some(t.execute + *branch_penalty);
                         }
                     }
 
                     if stop == *group_end {
-                        if let Some(sink) = sink.as_deref_mut() {
-                            for &(pc, bank) in conflicts.iter() {
+                        if let (Some(sink), ValuePath::Banked(banked)) =
+                            (sink.as_deref_mut(), &mut *value)
+                        {
+                            for (pc, bank) in banked.conflicts.drain(..) {
                                 sink.record(Event::instant(
                                     Lane::BankConflict,
                                     *fetch_cycle,
@@ -356,7 +305,6 @@ impl Pipeline {
                                     pc,
                                 ));
                             }
-                            conflicts.clear();
                         }
                         *fetch_cycle = match *resume_after {
                             Some(resume) => resume.max(*fetch_cycle + 1),
@@ -370,13 +318,12 @@ impl Pipeline {
     }
 
     /// Retires the pipeline and assembles its [`MachineResult`].
-    pub(crate) fn finish(mut self) -> MachineResult {
+    fn finish(mut self, streams: &[ValueStream]) -> MachineResult {
         self.sched.finish();
         let stats = self.sched.stats();
-        let (vp_stats, banked_stats) = match self.value_path {
-            ValuePath::Banked(fe) => (Some(fe.predictor_stats()), Some(fe.banked_stats())),
-            ValuePath::Plain(Some(p)) => (Some(p.stats()), None),
-            ValuePath::Plain(None) => (None, None),
+        let (vp_stats, banked_stats) = match &self.value {
+            ValuePath::Stream(n) => (streams[*n].stats(), None),
+            ValuePath::Banked(b) => (Some(b.fe.predictor_stats()), Some(b.fe.banked_stats())),
         };
         let (bpred_stats, trace_cache_stats, bac_stats) = match &self.front {
             Front::Ideal { .. } => (None, None, None),
@@ -400,13 +347,30 @@ impl Pipeline {
     }
 }
 
+/// Records one instruction's pipeline witness: fetch, dispatch, issue and
+/// writeback spans, then its prediction outcome.
+fn witness(sink: &mut dyn EventSink, rec: Slot<'_>, fetch: u64, t: Sched, vp: VpDisposition) {
+    let (seq, pc) = (rec.seq(), rec.pc());
+    let lanes = [Lane::Fetch, Lane::Dispatch, Lane::Issue, Lane::Writeback];
+    for (lane, at) in lanes.into_iter().zip([fetch, t.dispatch, t.execute, t.complete]) {
+        sink.record(Event::span(lane, at, 1, "instr", seq, pc));
+    }
+    let name = match vp {
+        VpDisposition::Correct => "vp_correct",
+        VpDisposition::Wrong => "vp_wrong",
+        VpDisposition::None => return,
+    };
+    sink.record(Event::instant(Lane::Predict, fetch, name, seq, pc));
+}
+
 /// Slots each pipeline advances before the batch loop moves to the next
 /// pipeline. Tiling trades the two locality costs against each other: a
 /// block of trace columns is read once and stays cache-hot while every
 /// pipeline consumes it, and each pipeline's scheduler and predictor state
 /// stays hot for a whole block instead of being evicted between
 /// single-slot turns. Purely a performance knob — results are independent
-/// of it, because pipelines share nothing.
+/// of it, because the only state pipelines share is the order-only value
+/// streams.
 const BATCH_BLOCK_SLOTS: usize = 4096;
 
 /// A passive observer of batch progress: called once per
@@ -432,7 +396,8 @@ pub trait ProgressSink: Sync {
 /// Results come back in `configs` order and are byte-identical to running
 /// each configuration alone through [`IdealMachine::run`] or
 /// [`RealisticMachine::run`] — the machines are thin wrappers over the
-/// same per-slot stepper, and no state is shared between pipelines.
+/// same block loop, and the value streams pipelines share depend on trace
+/// order alone.
 ///
 /// Callers batching very many configurations should chunk them (the
 /// experiments crate uses chunks of 8) so each batch's working set stays
@@ -494,6 +459,9 @@ pub fn run_batch(trace: &Trace, configs: &[MachineConfig]) -> Vec<MachineResult>
 /// ```
 pub struct BatchRunner {
     pipes: Vec<Pipeline>,
+    /// One value stream per distinct `VpConfig` among the non-banked
+    /// pipelines, run once per block for all of them.
+    streams: Vec<ValueStream>,
     lookahead: usize,
     next: usize,
 }
@@ -513,7 +481,9 @@ impl BatchRunner {
             })
             .max()
             .unwrap_or(0);
-        BatchRunner { pipes: configs.iter().map(Pipeline::new).collect(), lookahead, next: 0 }
+        let mut streams = Vec::new();
+        let pipes = configs.iter().map(|c| Pipeline::new(c, &mut streams)).collect();
+        BatchRunner { pipes, streams, lookahead, next: 0 }
     }
 
     /// The furthest any pipeline's front-end may read past the instruction
@@ -556,14 +526,31 @@ impl BatchRunner {
         end: usize,
         progress: Option<&dyn ProgressSink>,
     ) {
+        self.advance(view, start, end, progress, &mut None);
+    }
+
+    /// The block loop behind every feed: per block, each value stream
+    /// fills its column once, then every pipeline schedules from it (or
+    /// from its private banked front-end), streaming its pipeline witness
+    /// into `sink` when one is lent.
+    pub(crate) fn advance(
+        &mut self,
+        view: TraceView<'_>,
+        start: usize,
+        end: usize,
+        progress: Option<&dyn ProgressSink>,
+        sink: &mut Option<&mut dyn EventSink>,
+    ) {
         assert_eq!(start, self.next, "feed must continue where the previous one stopped");
         assert!(start <= end, "inverted feed range {start}..{end}");
         assert!(end <= view.len(), "feed range end {end} beyond view length {}", view.len());
-        let mut no_sink: Option<&mut dyn EventSink> = None;
         for block_start in (start..end).step_by(BATCH_BLOCK_SLOTS) {
             let block_end = (block_start + BATCH_BLOCK_SLOTS).min(end);
+            for stream in &mut self.streams {
+                stream.fill(view, block_start, block_end);
+            }
             for pipe in &mut self.pipes {
-                pipe.run_block(view, block_start, block_end, &mut no_sink);
+                pipe.run_block(view, block_start, block_end, &self.streams, sink);
             }
             if let Some(sink) = progress {
                 sink.retired(block_end as u64);
@@ -574,7 +561,8 @@ impl BatchRunner {
 
     /// Retires every pipeline and returns the results in `configs` order.
     pub fn finish(self) -> Vec<MachineResult> {
-        self.pipes.into_iter().map(Pipeline::finish).collect()
+        let streams = self.streams;
+        self.pipes.into_iter().map(|p| p.finish(&streams)).collect()
     }
 }
 
@@ -686,6 +674,45 @@ mod tests {
                 runner.feed(buf.view(), start, end);
                 start = end;
             }
+            assert_eq!(runner.finish(), expected, "window {window} diverged");
+        }
+    }
+
+    #[test]
+    fn feed_boundaries_inside_fetch_groups_of_stream_sharing_pipelines() {
+        let t = chain_trace(3_000);
+        let vp = VpConfig::stride_infinite();
+        let conv = FrontEnd::Conventional { width: 40, max_taken: Some(4), btb: BtbKind::Perfect };
+        let tc = FrontEnd::TraceCache {
+            config: TraceCacheConfig::paper(),
+            btb: BtbKind::two_level_paper(),
+        };
+        let configs = [
+            MachineConfig::Ideal(IdealConfig { fetch_rate: 8, vp, ..IdealConfig::default() }),
+            MachineConfig::Realistic(RealisticConfig::paper(conv, vp)),
+            MachineConfig::Realistic(RealisticConfig::paper(tc, vp)),
+        ];
+        let expected = run_batch(&t, &configs);
+        for window in [1usize, 100, 4096] {
+            let mut runner = BatchRunner::new(&configs);
+            assert_eq!(runner.streams.len(), 1, "all three pipelines share one stream");
+            let lookahead = runner.lookahead();
+            let (mut start, mut straddling) = (0, 0);
+            while start < t.len() {
+                let end = (start + window).min(t.len());
+                let mut buf = t.columns().slice(start..(end + lookahead).min(t.len()));
+                buf.set_base(start);
+                runner.feed(buf.view(), start, end);
+                // A realistic group reaching past `end` resumes in the next
+                // feed, reading the next block's column.
+                straddling += runner
+                    .pipes
+                    .iter()
+                    .filter(|p| matches!(p.front, Front::Realistic { group_end, .. } if group_end > end))
+                    .count();
+                start = end;
+            }
+            assert!(straddling > 0, "window {window}: no feed boundary split a fetch group");
             assert_eq!(runner.finish(), expected, "window {window} diverged");
         }
     }

@@ -13,12 +13,11 @@
 //! must agree; `tests/model_cross_validation.rs` asserts exactly that.
 
 use fetchvp_isa::reg::NUM_REGS;
-use fetchvp_predictor::ValuePredictor;
 use fetchvp_trace::{Trace, NO_REG};
 
-use crate::ideal::disposition_for;
 use crate::realistic::RealisticConfig;
 use crate::sched::{DepStats, UsefulnessStats, VpDisposition};
+use crate::vp::ValueStream;
 use crate::{CycleBreakdown, MachineResult};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,10 +113,7 @@ impl EventMachine {
         let cfg = &self.config;
         let view = trace.view();
         let mut engine = cfg.front_end.build();
-        let mut predictor: Option<Box<dyn ValuePredictor>> = match cfg.vp {
-            crate::VpConfig::Predictor(kind) => Some(kind.build()),
-            _ => None,
-        };
+        let mut stream = ValueStream::new(cfg.vp);
 
         let queue_capacity = cfg.issue_width * 2;
         let mut fetch_queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
@@ -224,7 +220,7 @@ impl EventMachine {
             while can_dispatch > 0 && window.len() < cfg.window {
                 let Some(idx) = fetch_queue.pop_front() else { break };
                 let rec = view.slot(idx);
-                let vp = disposition_for(rec, &cfg.vp, &mut predictor);
+                let vp = stream.disposition(rec);
                 let id = retired_entries + window.len();
                 let mut srcs = Vec::new();
                 for src in [rec.src1_byte(), rec.src2_byte()] {
@@ -351,7 +347,7 @@ impl EventMachine {
         MachineResult {
             instructions: total,
             cycles: last_retire_cycle,
-            vp_stats: predictor.map(|p| p.stats()),
+            vp_stats: stream.stats(),
             deps,
             usefulness,
             value_replays,

@@ -1,9 +1,9 @@
 //! The §3 ideal (implementation-independent) machine model.
 
-use fetchvp_trace::{Slot, Trace};
+use fetchvp_trace::Trace;
 
-use crate::sched::{Scheduler, VpDisposition};
-use crate::vp::VpConfig;
+use crate::sched::Scheduler;
+use crate::vp::{ValueStream, VpConfig};
 use crate::MachineResult;
 
 /// Configuration of the [`IdealMachine`].
@@ -83,32 +83,6 @@ impl IdealMachine {
     }
 }
 
-/// Computes the VP disposition for one instruction, performing the
-/// lookup/commit protocol when a real predictor is in use.
-pub(crate) fn disposition_for(
-    rec: Slot<'_>,
-    mode: &VpConfig,
-    predictor: &mut Option<Box<dyn fetchvp_predictor::ValuePredictor>>,
-) -> VpDisposition {
-    if !rec.produces_value() {
-        return VpDisposition::None;
-    }
-    match mode {
-        VpConfig::None => VpDisposition::None,
-        VpConfig::Perfect => VpDisposition::Correct,
-        VpConfig::Predictor(_) => {
-            let p = predictor.as_mut().expect("predictor mode requires a predictor");
-            let predicted = p.lookup(rec.pc());
-            p.commit(rec.pc(), rec.result(), predicted);
-            match predicted {
-                None => VpDisposition::None,
-                Some(v) if v == rec.result() => VpDisposition::Correct,
-                Some(_) => VpDisposition::Wrong,
-            }
-        }
-    }
-}
-
 /// Stage times of one instruction, in the 1-based cycle numbering of the
 /// paper's Table 3.2 (fetch of the first group happens in cycle 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,17 +138,13 @@ pub struct StageTimes {
 pub fn pipeline_trace(trace: &Trace, fetch_rate: usize, vp: VpConfig) -> Vec<StageTimes> {
     assert!(fetch_rate > 0, "fetch rate must be positive");
     let mut sched = Scheduler::new(40, Some(fetch_rate));
-    let mut predictor = match vp {
-        VpConfig::Predictor(kind) => Some(kind.build()),
-        _ => None,
-    };
+    let mut stream = ValueStream::new(vp);
     trace
         .view()
         .slots()
         .map(|rec| {
             let fetch_cycle = (rec.index() / fetch_rate) as u64;
-            let disposition = disposition_for(rec, &vp, &mut predictor);
-            let t = sched.schedule(rec, fetch_cycle, disposition);
+            let t = sched.schedule(rec, fetch_cycle, stream.disposition(rec));
             StageTimes {
                 seq: rec.seq(),
                 pc: rec.pc(),

@@ -18,14 +18,12 @@
 //! the analytic one with explicit per-cycle structures and fetch-queue
 //! back-pressure.
 //!
-//! Both primary machines are thin wrappers over the [`batch`] module's
-//! per-slot pipeline stepper; [`run_batch`] advances many configurations
-//! in lockstep over a single trace walk, which is how the experiment
-//! sweeps amortize trace traversal across configs.
-//!
-//! Both primary models share the same dataflow [`sched`]uling core, and both follow
-//! the paper's pipeline of Table 3.2 (Fetch → Decode/Issue → Execute →
-//! Commit, unit execution latency).
+//! Both primary machines are thin wrappers over the [`batch`] kernel:
+//! [`run_batch`] advances many configurations in lockstep over a single
+//! trace walk, and configurations with the same predictor share one
+//! value-prediction stream. Both use the dataflow [`sched`]uling core and
+//! follow the paper's pipeline of Table 3.2 (Fetch → Decode/Issue →
+//! Execute → Commit, unit execution latency).
 //!
 //! Modelling notes (see `DESIGN.md` for the full list):
 //!

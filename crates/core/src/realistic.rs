@@ -218,15 +218,12 @@ impl RealisticMachine {
     /// exactly what [`RealisticMachine::run`] does. The event stream is
     /// deterministic: same trace, same configuration, same events.
     pub fn run_traced(&self, trace: &Trace, mut sink: Option<&mut dyn EventSink>) -> MachineResult {
-        // A single-config batch pipeline: the group-based fetch loop
-        // (whole-group dispositions, misprediction stalls, bank-conflict
-        // tracing) lives in `crate::batch::Pipeline`, shared with
-        // `run_batch` so serial and batched runs cannot diverge.
+        // A one-config batch through `run_batch`'s block loop, so serial
+        // and batched runs cannot diverge.
         let view = trace.view();
-        let mut pipe =
-            crate::batch::Pipeline::new(&crate::batch::MachineConfig::Realistic(self.config));
-        pipe.run_block(view, 0, view.len(), &mut sink);
-        pipe.finish()
+        let mut runner = crate::BatchRunner::new(&[self.config.into()]);
+        runner.advance(view, 0, view.len(), None, &mut sink);
+        runner.finish().pop().expect("one result per config")
     }
 }
 

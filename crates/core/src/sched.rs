@@ -193,7 +193,6 @@ struct Producer {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler {
-    window: usize,
     dispatch_width: Option<usize>,
     value_penalty: u64,
     /// Execution units per cycle (`None` = unlimited, the §3 ideal model).
@@ -213,8 +212,11 @@ pub struct Scheduler {
     /// Completion time of the last store per address (Fx-hashed: probed
     /// once per memory instruction when memory dependencies are enabled).
     last_store: FxHashMap<u64, u64>,
-    /// Ring of retire cycles for the last `window` instructions.
+    /// Ring of retire cycles for the last `window` instructions (zero
+    /// until the window first fills), and the cursor at the entry the next
+    /// instruction vacates and overwrites: instruction `i - window`'s.
     retire_ring: Vec<u64>,
+    retire_pos: usize,
     /// Retire cycle of the previous instruction (in-order commit).
     prev_retire: u64,
     scheduled: u64,
@@ -252,7 +254,6 @@ impl Scheduler {
         assert!(window > 0, "window must be positive");
         assert!(dispatch_width != Some(0), "dispatch width must be positive");
         Scheduler {
-            window,
             dispatch_width,
             value_penalty,
             exec_width: None,
@@ -264,6 +265,7 @@ impl Scheduler {
             memory_deps: false,
             last_store: FxHashMap::default(),
             retire_ring: vec![0; window],
+            retire_pos: 0,
             prev_retire: 0,
             scheduled: 0,
             last_writer: [None; NUM_REGS],
@@ -385,27 +387,21 @@ impl Scheduler {
     /// disposition of the value prediction issued for *this instruction's
     /// result* (use [`VpDisposition::None`] when value prediction is off or
     /// the instruction produces no value).
+    ///
+    /// Forced inline: this is the body of every pipeline's per-slot loop.
+    #[inline(always)]
     pub fn schedule(&mut self, rec: Slot<'_>, fetch_cycle: u64, vp: VpDisposition) -> Sched {
-        let idx = self.scheduled as usize;
-
         // Window constraint: the entry vacated by instruction (i - W).
-        let window_free = if idx >= self.window { self.retire_ring[idx % self.window] } else { 0 };
+        let window_free = self.retire_ring[self.retire_pos];
         let mut dispatch = (fetch_cycle + 1).max(window_free);
 
-        // Dispatch-width cap.
+        // Dispatch-width cap: a full cycle spills into the next one.
         if let Some(width) = self.dispatch_width {
-            if dispatch < self.disp_cursor_cycle {
-                dispatch = self.disp_cursor_cycle;
-            }
-            if dispatch == self.disp_cursor_cycle {
-                if self.disp_cursor_count >= width {
-                    dispatch += 1;
-                    self.disp_cursor_cycle = dispatch;
-                    self.disp_cursor_count = 1;
-                } else {
-                    self.disp_cursor_count += 1;
-                }
+            dispatch = dispatch.max(self.disp_cursor_cycle);
+            if dispatch == self.disp_cursor_cycle && self.disp_cursor_count < width {
+                self.disp_cursor_count += 1;
             } else {
+                dispatch += u64::from(dispatch == self.disp_cursor_cycle);
                 self.disp_cursor_cycle = dispatch;
                 self.disp_cursor_count = 1;
             }
@@ -413,10 +409,11 @@ impl Scheduler {
 
         // Operand readiness. `spec_time` is when the instruction issues
         // believing every predicted operand; `repair_time` additionally
-        // waits for the true values of mispredicted operands.
+        // waits for the true values of mispredicted operands. `freed` holds
+        // the completion times of correctly predicted operands.
         let mut spec_time = dispatch + 1;
         let mut repair_time = dispatch + 1;
-        let mut any_wrong = false;
+        let (mut freed, mut n_freed) = ([0u64; 2], 0);
         for src in [rec.src1_byte(), rec.src2_byte()] {
             if src == NO_REG || src == 0 {
                 continue; // absent operand or the hardwired zero register
@@ -435,6 +432,8 @@ impl Scheduler {
                     // is known, below; the *prediction*-level attribution is
                     // decided here by the first consumer: useful iff this
                     // consumer dispatched before the producer's writeback.
+                    freed[n_freed] = p.complete;
+                    n_freed += 1;
                     if !p.consumed {
                         self.last_writer[src as usize] = Some(Producer { consumed: true, ..p });
                         let did = self.scheduled - p.seq;
@@ -448,7 +447,7 @@ impl Scheduler {
                     }
                 }
                 VpDisposition::Wrong => {
-                    any_wrong = true;
+                    self.stats.deps.wrong += 1;
                     repair_time = repair_time.max(p.complete);
                 }
             }
@@ -465,15 +464,13 @@ impl Scheduler {
             }
         }
 
-        let execute_candidate = if !any_wrong {
-            spec_time
-        } else if spec_time >= repair_time {
-            // The wrong value resolved before this consumer issued; no
-            // speculative execution happened, hence no replay penalty.
-            spec_time
-        } else {
+        // A wrong value that resolved before this consumer issued caused no
+        // speculative execution, hence no replay penalty.
+        let execute_candidate = if repair_time > spec_time {
             self.stats.value_replays += 1;
             repair_time + self.value_penalty
+        } else {
+            spec_time
         };
         let execute = self.book_exec(execute_candidate, dispatch + 1);
         let complete = execute + 1;
@@ -485,28 +482,19 @@ impl Scheduler {
 
         // Classify correctly-predicted dependencies as useful vs useless
         // now that the execute cycle is known.
-        for src in [rec.src1_byte(), rec.src2_byte()] {
-            if src == NO_REG || src == 0 {
-                continue;
-            }
-            let Some(p) = self.last_writer[src as usize] else { continue };
-            match p.vp {
-                VpDisposition::Correct => {
-                    if p.complete > execute {
-                        self.stats.deps.useful += 1;
-                    } else {
-                        self.stats.deps.useless_correct += 1;
-                    }
-                }
-                VpDisposition::Wrong => self.stats.deps.wrong += 1,
-                VpDisposition::None => {}
-            }
+        for &done in &freed[..n_freed] {
+            self.stats.deps.useful += u64::from(done > execute);
+            self.stats.deps.useless_correct += u64::from(done <= execute);
         }
 
         // In-order retirement.
         let retire = complete.max(self.prev_retire);
         self.prev_retire = retire;
-        self.retire_ring[idx % self.window] = retire;
+        self.retire_ring[self.retire_pos] = retire;
+        self.retire_pos += 1;
+        if self.retire_pos == self.retire_ring.len() {
+            self.retire_pos = 0;
+        }
 
         let dst = rec.dst_byte();
         if dst != NO_REG {

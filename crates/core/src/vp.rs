@@ -1,9 +1,13 @@
-//! Value-prediction configuration shared by both machine models.
+//! Value-prediction configuration shared by both machine models, and the
+//! order-only value stream that serves every non-banked pipeline.
 
 use fetchvp_predictor::{
-    ConfidenceConfig, FcmPredictor, HybridPredictor, LastValuePredictor, StrideKind,
-    StridePredictor, TableGeometry, ValuePredictor,
+    ConfidenceConfig, FcmPredictor, HybridPredictor, LastValuePredictor, PredictorStats,
+    StrideKind, StridePredictor, TableGeometry, ValuePredictor,
 };
+use fetchvp_trace::{Slot, TraceView};
+
+use crate::sched::VpDisposition;
 
 /// Which concrete value predictor to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,6 +81,64 @@ impl VpConfig {
     /// Whether any form of value prediction is active.
     pub fn is_enabled(&self) -> bool {
         !matches!(self, VpConfig::None)
+    }
+}
+
+/// How an issued prediction (or none) fared against the actual value.
+pub(crate) fn outcome(predicted: Option<u64>, actual: u64) -> VpDisposition {
+    match predicted {
+        None => VpDisposition::None,
+        Some(v) if v == actual => VpDisposition::Correct,
+        Some(_) => VpDisposition::Wrong,
+    }
+}
+
+/// The order-only value path of one [`VpConfig`]: every value producer
+/// looks up and commits in trace order, so dispositions are independent of
+/// machine timing and pipelines of the same `VpConfig` can share them.
+pub(crate) struct ValueStream {
+    pub(crate) config: VpConfig,
+    predictor: Option<Box<dyn ValuePredictor>>,
+    /// Dispositions of the slots of the last [`fill`](ValueStream::fill).
+    pub(crate) column: Vec<VpDisposition>,
+}
+
+impl ValueStream {
+    pub(crate) fn new(config: VpConfig) -> ValueStream {
+        let predictor =
+            if let VpConfig::Predictor(kind) = config { Some(kind.build()) } else { None };
+        ValueStream { config, predictor, column: Vec::new() }
+    }
+
+    /// The disposition of `rec`'s result; slots arrive in trace order.
+    #[inline]
+    pub(crate) fn disposition(&mut self, rec: Slot<'_>) -> VpDisposition {
+        if !rec.produces_value() {
+            return VpDisposition::None;
+        }
+        match &mut self.predictor {
+            Some(p) => {
+                let predicted = p.lookup(rec.pc());
+                p.commit(rec.pc(), rec.result(), predicted);
+                outcome(predicted, rec.result())
+            }
+            None if self.config == VpConfig::Perfect => VpDisposition::Correct,
+            None => VpDisposition::None,
+        }
+    }
+
+    /// Replaces the column with the dispositions of slots `start..end`.
+    pub(crate) fn fill(&mut self, view: TraceView<'_>, start: usize, end: usize) {
+        self.column.clear();
+        for rec in view.slots_in(start..end) {
+            let d = self.disposition(rec);
+            self.column.push(d);
+        }
+    }
+
+    /// The predictor's statistics (`None` without a real predictor).
+    pub(crate) fn stats(&self) -> Option<PredictorStats> {
+        self.predictor.as_ref().map(|p| p.stats())
     }
 }
 

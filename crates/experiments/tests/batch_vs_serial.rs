@@ -9,12 +9,12 @@
 //! front-end statistics or usefulness attribution changes the bytes.
 
 use fetchvp_core::{
-    BtbKind, FrontEnd, IdealConfig, IdealMachine, MachineConfig, RealisticConfig, RealisticMachine,
-    VpConfig,
+    run_batch, BtbKind, FrontEnd, IdealConfig, IdealMachine, MachineConfig, MachineResult,
+    PredictorKind, RealisticConfig, RealisticMachine, VpConfig,
 };
 use fetchvp_experiments::{ExperimentConfig, Sweep};
 use fetchvp_fetch::{BacConfig, TraceCacheConfig};
-use fetchvp_predictor::BankedConfig;
+use fetchvp_predictor::{BankedConfig, ConfidenceConfig, StrideKind, TableGeometry};
 
 /// A config set spanning every pipeline variant the kernel batches: ideal
 /// front-ends at two widths, and realistic ones over the conventional,
@@ -119,4 +119,80 @@ fn batching_is_insensitive_to_companions() {
         .map(|(_, r)| r[2].metrics().to_json().to_json())
         .collect();
     assert_eq!(a, b, "companion configs leaked into the probe's counters");
+}
+
+/// Every value-prediction mode a value stream can serve.
+fn stream_modes() -> Vec<VpConfig> {
+    let paper = ConfidenceConfig::paper();
+    let stride = |geometry, kind| {
+        VpConfig::Predictor(PredictorKind::Stride { geometry, confidence: paper, kind })
+    };
+    vec![
+        stride(TableGeometry::Infinite, StrideKind::Simple),
+        stride(TableGeometry::Infinite, StrideKind::TwoDelta),
+        VpConfig::Predictor(PredictorKind::LastValue {
+            geometry: TableGeometry::Infinite,
+            confidence: paper,
+        }),
+        VpConfig::Predictor(PredictorKind::Hybrid),
+        VpConfig::Predictor(PredictorKind::Fcm { confidence: paper }),
+        stride(TableGeometry::DirectMapped { index_bits: 4 }, StrideKind::Simple),
+        VpConfig::Perfect,
+        VpConfig::None,
+    ]
+}
+
+fn serial_run(config: &MachineConfig, trace: &fetchvp_trace::Trace) -> MachineResult {
+    match *config {
+        MachineConfig::Ideal(ic) => IdealMachine::new(ic).run(trace),
+        MachineConfig::Realistic(rc) => RealisticMachine::new(rc).run(trace),
+    }
+}
+
+#[test]
+fn shared_value_streams_match_serial_bytes_in_one_spanning_batch() {
+    // One batch (no chunking) in which every value stream serves two ideal
+    // and two non-banked realistic pipelines, plus banked pipelines whose
+    // `VpConfig` equals a stream's — they must keep a private front-end.
+    let conv = FrontEnd::Conventional { width: 40, max_taken: Some(2), btb: BtbKind::Perfect };
+    let tc = FrontEnd::TraceCache { config: TraceCacheConfig::paper(), btb: BtbKind::Perfect };
+    let mut configs: Vec<MachineConfig> = stream_modes()
+        .into_iter()
+        .flat_map(|vp| {
+            [
+                MachineConfig::Ideal(IdealConfig { fetch_rate: 4, vp, ..IdealConfig::default() }),
+                MachineConfig::Realistic(RealisticConfig::paper(conv, vp)),
+                MachineConfig::Ideal(IdealConfig { fetch_rate: 32, vp, ..IdealConfig::default() }),
+                MachineConfig::Realistic(RealisticConfig::paper(tc, vp)),
+            ]
+        })
+        .collect();
+    let banked = RealisticConfig::paper(tc, VpConfig::stride_infinite());
+    configs.push(MachineConfig::Realistic(banked.with_banked(BankedConfig::new(2))));
+    configs.push(MachineConfig::Realistic(banked.with_banked(BankedConfig::default())));
+
+    let cfg = ExperimentConfig { trace_len: 6_000, ..ExperimentConfig::default() };
+    let per_workload = Sweep::serial(&cfg).cells_extended(&[()], |w, trace, _| {
+        let batch = run_batch(trace, &configs);
+        for (i, (config, batched)) in configs.iter().zip(&batch).enumerate() {
+            let serial = serial_run(config, trace).metrics().to_json().to_json();
+            let batched_json = batched.metrics().to_json().to_json();
+            assert_eq!(serial, batched_json, "{}: config #{i} {config:?} diverged", w.name());
+        }
+        // Pipelines of one stream report the stream's statistics.
+        for group in batch[..configs.len() - 2].chunks(4) {
+            assert!(group.iter().all(|r| r.vp_stats == group[0].vp_stats));
+        }
+        let n = batch.len();
+        (batch[0].vp_stats, batch[n - 2].vp_stats, batch[n - 2].banked_stats)
+    });
+    assert_eq!(per_workload.len(), 9);
+    // The 2-bank front-end denies lookups somewhere, so a banked pipeline
+    // that wrongly joined the stride stream would have shown up above; make
+    // sure the suite actually exercises that difference.
+    let diverged = per_workload.iter().any(|(_, cells)| {
+        let (stream, banked, router) = cells[0];
+        router.expect("banked stats").denied > 0 && stream != banked
+    });
+    assert!(diverged, "no workload separated the banked path from the shared stream");
 }

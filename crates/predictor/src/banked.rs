@@ -166,12 +166,16 @@ pub struct BankedFrontEnd<P> {
     config: BankedConfig,
     inner: P,
     stats: BankedStats,
+    /// Router scratch: the PC granted in each bank for the group being
+    /// routed, reset per group instead of reallocated.
+    winner: Vec<Option<u64>>,
 }
 
 impl<P: ValuePredictor> BankedFrontEnd<P> {
     /// Wraps `inner` behind a banked front-end with the given geometry.
     pub fn new(config: BankedConfig, inner: P) -> BankedFrontEnd<P> {
-        BankedFrontEnd { config, inner, stats: BankedStats::default() }
+        let winner = vec![None; config.banks as usize];
+        BankedFrontEnd { config, inner, stats: BankedStats::default(), winner }
     }
 
     /// The front-end geometry.
@@ -205,19 +209,29 @@ impl<P: ValuePredictor> BankedFrontEnd<P> {
     ///
     /// Returns one [`SlotOutcome`] per input slot, in the same order.
     pub fn predict_group(&mut self, pcs: &[u64]) -> Vec<SlotOutcome> {
+        let mut out = Vec::with_capacity(pcs.len());
+        self.predict_group_into(pcs, &mut out);
+        out
+    }
+
+    /// [`predict_group`](BankedFrontEnd::predict_group) into a
+    /// caller-owned buffer: `out` is cleared, then receives one
+    /// [`SlotOutcome`] per input slot. Reusing one buffer across groups
+    /// keeps the per-group path allocation-free.
+    pub fn predict_group_into(&mut self, pcs: &[u64], out: &mut Vec<SlotOutcome>) {
         self.stats.groups += 1;
         self.stats.slots += pcs.len() as u64;
 
         // The address router: per bank, the earliest PC in trace order wins;
         // later slots with the *same* PC merge onto the winner, others are
         // denied. `winner[bank]` is the granted PC for this cycle.
-        let mut winner: Vec<Option<u64>> = vec![None; self.config.banks as usize];
-        let mut out = Vec::with_capacity(pcs.len());
+        self.winner.fill(None);
+        out.clear();
         for &pc in pcs {
             let bank = self.config.bank_of(pc);
-            let grant = match winner[bank as usize] {
+            let grant = match self.winner[bank as usize] {
                 None => {
-                    winner[bank as usize] = Some(pc);
+                    self.winner[bank as usize] = Some(pc);
                     SlotGrant::Granted
                 }
                 Some(w) if w == pc => SlotGrant::Merged,
@@ -237,7 +251,6 @@ impl<P: ValuePredictor> BankedFrontEnd<P> {
             }
             out.push(SlotOutcome { pc, bank, grant, prediction });
         }
-        out
     }
 
     /// Commits one dynamic instance's actual value (delegates to the wrapped
@@ -355,6 +368,26 @@ mod tests {
         assert_eq!(s.granted, 3);
         assert_eq!(s.denied, 2);
         assert!(s.denial_rate() > 0.0);
+    }
+
+    #[test]
+    fn predict_group_into_reuses_the_buffer_and_matches_predict_group() {
+        let groups: [&[u64]; 4] = [&[8, 8, 12, 1], &[5, 1, 9], &[], &[8, 4, 8, 0, 12]];
+        let (mut a, mut b) = (stride_fe(4), stride_fe(4));
+        let mut out =
+            vec![SlotOutcome { pc: 99, bank: 0, grant: SlotGrant::Merged, prediction: None }];
+        for (k, pcs) in groups.iter().enumerate() {
+            let expected = a.predict_group(pcs);
+            b.predict_group_into(pcs, &mut out);
+            assert_eq!(out, expected, "group {k}");
+            for (&pc, slot) in pcs.iter().zip(&expected) {
+                let actual = 10 * pc + k as u64;
+                a.commit(pc, actual, slot.prediction);
+                b.commit(pc, actual, slot.prediction);
+            }
+        }
+        assert_eq!(a.banked_stats(), b.banked_stats());
+        assert_eq!(a.predictor_stats(), b.predictor_stats());
     }
 
     #[test]

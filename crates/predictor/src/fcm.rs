@@ -61,17 +61,6 @@ impl Entry {
     }
 }
 
-impl Default for Entry {
-    fn default() -> Entry {
-        Entry {
-            committed: History::default(),
-            spec: History::default(),
-            seen: false,
-            counter: SaturatingCounter::new(2),
-        }
-    }
-}
-
 /// A two-level finite-context-method value predictor (reference \[22\]).
 ///
 /// The first level holds, per static instruction, a hash of its last few
@@ -134,13 +123,6 @@ impl FcmPredictor {
     fn l2_key(pc: u64, ctx: u64) -> u64 {
         ctx.rotate_left(13) ^ pc.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
-
-    fn entry_mut_for(&mut self, pc: u64) -> &mut Entry {
-        if self.l1.probe(pc).is_none() {
-            *self.l1.entry_mut(pc) = Entry::fresh(&self.confidence);
-        }
-        self.l1.entry_mut(pc)
-    }
 }
 
 impl ValuePredictor for FcmPredictor {
@@ -149,43 +131,38 @@ impl ValuePredictor for FcmPredictor {
     }
 
     fn lookup(&mut self, pc: u64) -> Option<u64> {
-        let prediction = match self.l1.probe(pc) {
-            Some(e) if e.seen && e.counter.at_least(self.confidence.predict_at) => {
-                self.l2.get(&Self::l2_key(pc, e.spec.hash())).copied()
+        let predict_at = self.confidence.predict_at;
+        let prediction = match self.l1.get_mut(pc) {
+            Some(e) if e.seen && e.counter.at_least(predict_at) => {
+                let v = self.l2.get(&Self::l2_key(pc, e.spec.hash())).copied();
+                if let Some(v) = v {
+                    // Speculative update: push the predicted value into the
+                    // history so the next in-flight instance predicts from
+                    // the extended context.
+                    e.spec.push(v);
+                }
+                v
             }
             _ => None,
         };
-        if let Some(v) = prediction {
-            // Speculative update: push the predicted value into the history
-            // so the next in-flight instance predicts from the extended
-            // context.
-            let e = self.l1.entry_mut(pc);
-            e.spec.push(v);
-        }
         self.stats.record_lookup(prediction.is_some());
         prediction
     }
 
     fn commit(&mut self, pc: u64, actual: u64, predicted: Option<u64>) {
         self.stats.record_commit(actual, predicted);
-        // Train the second level: the committed context is followed by
-        // `actual`.
-        let (committed_hash, seen) = match self.l1.probe(pc) {
-            Some(e) => (e.committed.hash(), e.seen),
-            None => (0, false),
-        };
-        if seen {
-            let key = Self::l2_key(pc, committed_hash);
-            let would_predict = self.l2.get(&key).copied();
-            self.l2.insert(key, actual);
-            let e = self.entry_mut_for(pc);
+        let confidence = self.confidence;
+        let e = self.l1.entry_or_insert_with(pc, || Entry::fresh(&confidence));
+        if e.seen {
+            // Train the second level: the committed context is followed by
+            // `actual`.
+            let would_predict = self.l2.insert(Self::l2_key(pc, e.committed.hash()), actual);
             if would_predict == Some(actual) {
                 e.counter.increment();
             } else {
                 e.counter.decrement();
             }
         }
-        let e = self.entry_mut_for(pc);
         e.committed.push(actual);
         e.seen = true;
         if predicted != Some(actual) {

@@ -17,14 +17,6 @@ impl Entry {
     }
 }
 
-// `PredTable` requires `Default` for allocation; real initialization happens
-// in `entry_mut_for` which applies the configured confidence.
-impl Default for Entry {
-    fn default() -> Entry {
-        Entry { last: 0, seen: false, counter: SaturatingCounter::new(2) }
-    }
-}
-
 /// The last-value predictor of Lipasti & Shen (paper references \[13\], \[14\]).
 ///
 /// Each table entry holds the most recent value produced by the instruction;
@@ -66,13 +58,6 @@ impl LastValuePredictor {
     pub fn infinite() -> LastValuePredictor {
         LastValuePredictor::new(TableGeometry::Infinite, ConfidenceConfig::paper())
     }
-
-    fn entry_mut_for(&mut self, pc: u64) -> &mut Entry {
-        if self.table.probe(pc).is_none() {
-            *self.table.entry_mut(pc) = Entry::fresh(&self.confidence);
-        }
-        self.table.entry_mut(pc)
-    }
 }
 
 impl ValuePredictor for LastValuePredictor {
@@ -92,7 +77,8 @@ impl ValuePredictor for LastValuePredictor {
 
     fn commit(&mut self, pc: u64, actual: u64, predicted: Option<u64>) {
         self.stats.record_commit(actual, predicted);
-        let e = self.entry_mut_for(pc);
+        let confidence = self.confidence;
+        let e = self.table.entry_or_insert_with(pc, || Entry::fresh(&confidence));
         if e.seen {
             // Train the classifier on what the table would have predicted,
             // whether or not the prediction was confident enough to issue.

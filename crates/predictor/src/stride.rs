@@ -46,19 +46,6 @@ impl Entry {
     }
 }
 
-impl Default for Entry {
-    fn default() -> Entry {
-        Entry {
-            committed_last: 0,
-            spec_last: 0,
-            stride: 0,
-            pending_stride: 0,
-            seen: false,
-            counter: SaturatingCounter::new(2),
-        }
-    }
-}
-
 /// The stride value predictor of Gabbay & Mendelson (\[7\], \[8\]).
 ///
 /// Each entry holds the last value and the delta between the two most recent
@@ -122,13 +109,6 @@ impl StridePredictor {
     pub fn kind(&self) -> StrideKind {
         self.kind
     }
-
-    fn entry_mut_for(&mut self, pc: u64) -> &mut Entry {
-        if self.table.probe(pc).is_none() {
-            *self.table.entry_mut(pc) = Entry::fresh(&self.confidence);
-        }
-        self.table.entry_mut(pc)
-    }
 }
 
 impl ValuePredictor for StridePredictor {
@@ -141,25 +121,23 @@ impl ValuePredictor for StridePredictor {
 
     fn lookup(&mut self, pc: u64) -> Option<u64> {
         let predict_at = self.confidence.predict_at;
-        let prediction = match self.table.probe(pc) {
+        let prediction = match self.table.get_mut(pc) {
             Some(e) if e.seen && e.counter.at_least(predict_at) => {
-                Some(e.spec_last.wrapping_add(e.stride as u64))
+                // Speculative update: the next in-flight instance of this PC
+                // is predicted relative to this one.
+                e.spec_last = e.spec_last.wrapping_add(e.stride as u64);
+                Some(e.spec_last)
             }
             _ => None,
         };
-        if let Some(v) = prediction {
-            // Speculative update: the next in-flight instance of this PC is
-            // predicted relative to this one.
-            self.table.entry_mut(pc).spec_last = v;
-        }
         self.stats.record_lookup(prediction.is_some());
         prediction
     }
 
     fn commit(&mut self, pc: u64, actual: u64, predicted: Option<u64>) {
         self.stats.record_commit(actual, predicted);
-        let kind = self.kind;
-        let e = self.entry_mut_for(pc);
+        let (kind, confidence) = (self.kind, self.confidence);
+        let e = self.table.entry_or_insert_with(pc, || Entry::fresh(&confidence));
         if e.seen {
             // Train the classifier on the *committed-state* prediction so
             // that confidence reflects the entry's inherent predictability.

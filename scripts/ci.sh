@@ -76,6 +76,14 @@ rm -rf "$TRACE_DIR"
 echo "== fuzz-smoke"
 cargo run $OFFLINE --release -p fetchvp-cli -- fuzz --cases 64 --seed 7
 
+# The benchmark harness (its own cargo workspace over these crates): its
+# self-tests check the kernel APIs it drives, chunked = in-memory replay
+# and cached = fresh served bytes; the smoke run drives all four
+# workloads at tiny sizes end to end.
+echo "== benchmark harness self-tests + smoke"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+bash perfbench/run.sh --smoke
+
 # Throughput expectation for the batched kernel (see EXPERIMENTS.md):
 # warn-only, because wall-clock on shared CI hosts is too noisy to gate.
 if [ -f benchmarks/BENCH_baseline.json ]; then
