@@ -40,13 +40,14 @@
 //!                                   (--trace-dir DIR or $FETCHVP_TRACE_DIR;
 //!                                   --out FILE streams to a plain file instead)
 //!   trace-info <file>               print a saved trace's statistics (streams
-//!                                   chunked stores; legacy FVPT still readable)
+//!                                   the store chunk by chunk)
 //!   run-asm <file.s>                assemble, trace and simulate a program
 //!
 //! out-of-core runs: every experiment accepts --trace-dir DIR (default
-//! $FETCHVP_TRACE_DIR); machine sweeps (bench, fig3-1, fig5-1/2/3,
-//! usefulness) then replay chunk-by-chunk from the cache and may exceed
-//! the in-memory --trace-len limit, up to 100M instructions.
+//! $FETCHVP_TRACE_DIR); above 8M instructions a run needs it, and every
+//! figure, table and ablation then walks its traces from disk chunk by
+//! chunk, up to 100M (breakdown, trace-viz, atlas, run-asm, profile stay
+//! within 8M: they need whole traces in memory).
 //!
 //! observability:
 //!   trace-viz <workload> [--cycles A..B] [--out FILE]
@@ -94,7 +95,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::process::ExitCode;
 
 use std::sync::Arc;
@@ -108,10 +109,9 @@ use fetchvp_experiments::{
 };
 use fetchvp_isa::parse_program;
 use fetchvp_metrics::Json;
-use fetchvp_trace::{read_trace, trace_program};
+use fetchvp_trace::trace_program;
 use fetchvp_tracestore::{
     stream_program_to_store, stream_store_stats, TraceDir, TraceKey, TraceStore, DEFAULT_CHUNK_LEN,
-    MAGIC,
 };
 use fetchvp_workloads::{by_name, WorkloadParams};
 
@@ -126,6 +126,8 @@ ablations:   ablation-banks ablation-window ablation-confidence \
              ablation-model ablation-seeds ablations
 trace files: save-trace <benchmark> <file> / trace-gen <benchmark> \
              [--trace-dir DIR | --out FILE] / trace-info <file> / run-asm <file.s>
+out-of-core: --trace-dir DIR (or $FETCHVP_TRACE_DIR) walks traces over 8M instructions
+             from disk, up to 100M (not breakdown trace-viz atlas run-asm profile)
 tracing:     trace-viz <workload> [--cycles A..B] [--out FILE]
 benchmarks:  bench [--quick] [--repeat N] [--out FILE] / bench-compare \
              <old.json> <new.json> [--threshold PCT] / profile
@@ -279,14 +281,11 @@ fn validate_invocation(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Enforces the in-memory/out-of-core trace-length boundary before any
-/// generation starts, distinguishing "too big for memory" (with the fix
-/// named) from a plainly invalid value.
+/// Enforces the in-memory trace-length limit before any generation
+/// starts, distinguishing "too big for memory" (with the fix named) from a
+/// plainly invalid value.
 fn validate_scale(opts: &Options) -> Result<(), String> {
     let n = opts.config.trace_len;
-    if n <= MAX_IN_MEMORY_TRACE_LEN {
-        return Ok(());
-    }
     if n > jobspec::MAX_TRACE_LEN_OOC {
         return Err(format!(
             "--trace-len {n} exceeds even the out-of-core cap of {} instructions",
@@ -294,26 +293,16 @@ fn validate_scale(opts: &Options) -> Result<(), String> {
         ));
     }
     // save-trace and trace-gen stream straight to disk at any size.
-    if matches!(opts.experiment.as_str(), "save-trace" | "trace-gen") {
+    let streams = matches!(opts.experiment.as_str(), "save-trace" | "trace-gen");
+    let replays =
+        opts.resolved_trace_dir().is_some() && !jobspec::needs_resident_trace(&opts.experiment);
+    if n <= MAX_IN_MEMORY_TRACE_LEN || streams || replays {
         return Ok(());
     }
-    if !jobspec::supports_out_of_core(&opts.experiment) {
-        return Err(format!(
-            "--trace-len {n} exceeds the in-memory limit of {MAX_IN_MEMORY_TRACE_LEN} \
-             instructions, and `{}` cannot replay out-of-core (machine sweeps can: bench, \
-             fig3-1, fig5-1, fig5-2, fig5-3, usefulness; save-trace and trace-gen always \
-             stream)",
-            opts.experiment
-        ));
-    }
-    if opts.resolved_trace_dir().is_none() {
-        return Err(format!(
-            "--trace-len {n} exceeds the in-memory limit of {MAX_IN_MEMORY_TRACE_LEN} \
-             instructions; out-of-core replay needs a trace directory: pass --trace-dir DIR \
-             (or set FETCHVP_TRACE_DIR)"
-        ));
-    }
-    Ok(())
+    Err(format!(
+        "--trace-len {n} {}",
+        jobspec::over_bound_reason(&opts.experiment, MAX_IN_MEMORY_TRACE_LEN)
+    ))
 }
 
 /// Levenshtein edit distance — small inputs only (command names).
@@ -662,24 +651,11 @@ fn trace_gen(cfg: &ExperimentConfig, opts: &Options) -> Result<(), String> {
     let [bench] = opts.positionals.as_slice() else {
         return Err("trace-gen needs: <benchmark> [--trace-dir DIR | --out FILE]".into());
     };
+    if let Some(path) = &opts.out {
+        return save_trace(cfg, &[bench.clone(), path.clone()]);
+    }
     let workload =
         by_name(bench, &cfg.workloads).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
-    if let Some(path) = &opts.out {
-        let file = File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
-        let summary = stream_program_to_store(
-            workload.program(),
-            bench,
-            cfg.trace_len,
-            DEFAULT_CHUNK_LEN,
-            BufWriter::new(file),
-        )
-        .map_err(|e| format!("write failed: {e}"))?;
-        println!(
-            "wrote {} instructions of `{bench}` to {path} ({} chunk(s), {} bytes)",
-            summary.instructions, summary.chunks, summary.bytes
-        );
-        return Ok(());
-    }
     let root = opts.resolved_trace_dir().or_else(TraceDir::default_root).ok_or(
         "trace-gen needs a destination: --trace-dir DIR, $FETCHVP_TRACE_DIR, or --out FILE \
          (no home directory found for the default ~/.cache/fetchvp)",
@@ -714,29 +690,17 @@ fn trace_info(args: &[String]) -> Result<(), String> {
     let [path] = args else {
         return Err("trace-info needs: <file>".into());
     };
-    let mut file = File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
-    let mut magic = [0u8; 4];
-    use std::io::Read;
-    let is_store = file.read_exact(&mut magic).is_ok() && &magic == MAGIC;
-    if is_store {
-        // Chunked store: stats stream per chunk, so a 100M-instruction
-        // file is summarized in bounded memory.
-        let store = TraceStore::open(path).map_err(|e| format!("read failed: {e}"))?;
-        let stats = stream_store_stats(&store).map_err(|e| format!("read failed: {e}"))?;
-        println!("trace `{}` ({:?})", store.name(), store.outcome());
-        println!(
-            "chunked store: {} chunk(s) of <= {} instructions",
-            store.chunks().len(),
-            store.chunk_target()
-        );
-        println!("{stats}");
-        return Ok(());
-    }
-    use std::io::Seek;
-    file.rewind().map_err(|e| format!("cannot rewind `{path}`: {e}"))?;
-    let trace = read_trace(BufReader::new(file)).map_err(|e| format!("read failed: {e}"))?;
-    println!("trace `{}` ({:?})", trace.name(), trace.outcome());
-    println!("{}", trace.stats());
+    // Stats stream per chunk, so a 100M-instruction store is summarized in
+    // bounded memory.
+    let store = TraceStore::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let stats = stream_store_stats(&store).map_err(|e| format!("read failed: {e}"))?;
+    println!("trace `{}` ({:?})", store.name(), store.outcome());
+    println!(
+        "chunked store: {} chunk(s) of <= {} instructions",
+        store.chunks().len(),
+        store.chunk_target()
+    );
+    println!("{stats}");
     Ok(())
 }
 
@@ -1417,22 +1381,25 @@ mod tests {
 
     #[test]
     fn scale_gate_distinguishes_capability_from_invalid() {
-        let big = (MAX_IN_MEMORY_TRACE_LEN + 1).to_string();
-        // A machine sweep without a trace dir: the error names the fix.
-        let o = opts(&["fig3-1", "--trace-len", &big]).unwrap();
-        if o.resolved_trace_dir().is_none() {
-            let err = validate_scale(&o).unwrap_err();
-            assert!(err.contains("--trace-dir"), "{err}");
+        let big = "20000000";
+        for experiment in ["fig3-1", "fig3-3", "accuracy", "ablation-fetch", "all", "ablations"] {
+            // Without a trace dir: the error names the fix.
+            let o = opts(&[experiment, "--trace-len", big]).unwrap();
+            if o.resolved_trace_dir().is_none() {
+                let err = validate_scale(&o).unwrap_err();
+                assert!(err.contains("--trace-dir"), "{experiment}: {err}");
+            }
+            // The same length with a dir passes the gate.
+            let o = opts(&[experiment, "--trace-len", big, "--trace-dir", "/tmp/x"]).unwrap();
+            validate_scale(&o).unwrap();
         }
-        // The same length with a dir passes the gate.
-        let o = opts(&["fig3-1", "--trace-len", &big, "--trace-dir", "/tmp/x"]).unwrap();
-        validate_scale(&o).unwrap();
-        // Analysis experiments are blamed even with a dir.
-        let o = opts(&["fig3-4", "--trace-len", &big, "--trace-dir", "/tmp/x"]).unwrap();
+        // Resident-only commands are blamed even with a dir.
+        let o = opts(&["breakdown", "--trace-len", big, "--trace-dir", "/tmp/x"]).unwrap();
         let err = validate_scale(&o).unwrap_err();
-        assert!(err.contains("cannot replay out-of-core"), "{err}");
+        assert!(err.contains("needs whole resident traces"), "{err}");
+        assert!(err.contains(&MAX_IN_MEMORY_TRACE_LEN.to_string()), "{err}");
         // save-trace streams at any in-cap size.
-        let o = opts(&["save-trace", "gcc", "f.fvps", "--trace-len", &big]).unwrap();
+        let o = opts(&["save-trace", "gcc", "f.fvps", "--trace-len", big]).unwrap();
         validate_scale(&o).unwrap();
         // Beyond even the out-of-core cap: plainly invalid.
         let too_big = (jobspec::MAX_TRACE_LEN_OOC + 1).to_string();
@@ -1451,7 +1418,7 @@ mod tests {
     }
 
     #[test]
-    fn save_trace_writes_chunked_stores_and_trace_info_reads_both_formats() {
+    fn save_trace_writes_chunked_stores_and_trace_info_reads_them() {
         let dir = std::env::temp_dir().join(format!("fetchvp-cli-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let store_path = dir.join("go.fvps");
@@ -1459,16 +1426,12 @@ mod tests {
             .unwrap();
         save_trace(&o.config, &o.positionals).unwrap();
         let magic = &std::fs::read(&store_path).unwrap()[..4];
-        assert_eq!(magic, MAGIC, "save-trace must write the chunked format");
+        assert_eq!(magic, fetchvp_tracestore::MAGIC, "save-trace must write the chunked format");
         trace_info(&[store_path.to_str().unwrap().to_string()]).unwrap();
-
-        // The legacy FVPT format stays readable.
-        let legacy_path = dir.join("go-legacy.bin");
-        let workload = by_name("go", &o.config.workloads).unwrap();
-        let trace = trace_program(workload.program(), 500);
-        let file = File::create(&legacy_path).unwrap();
-        fetchvp_trace::write_trace(&trace, BufWriter::new(file)).unwrap();
-        trace_info(&[legacy_path.to_str().unwrap().to_string()]).unwrap();
+        // Anything else is refused, not misread.
+        let other = dir.join("not-a-store.bin");
+        std::fs::write(&other, b"not a trace store, just some bytes").unwrap();
+        assert!(trace_info(&[other.to_str().unwrap().to_string()]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

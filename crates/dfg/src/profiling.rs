@@ -18,9 +18,9 @@ use fetchvp_predictor::hybrid::HintClass;
 use fetchvp_predictor::{
     ConfidenceConfig, LastValuePredictor, StridePredictor, TableGeometry, ValuePredictor,
 };
-use fetchvp_trace::Trace;
+use fetchvp_trace::{Slot, Trace};
 
-/// Per-PC profiling statistics gathered by [`profile`].
+/// Per-PC profiling statistics gathered by a [`Profiler`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcProfile {
     /// Dynamic instances observed.
@@ -51,31 +51,51 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// The profiling pass: replays `trace` through ungated last-value and
-/// stride predictors and records per-PC accuracies.
-pub fn profile(trace: &Trace) -> HashMap<u64, PcProfile> {
-    let mut lvp =
-        LastValuePredictor::new(TableGeometry::Infinite, ConfidenceConfig::always_predict());
-    let mut svp = StridePredictor::new(TableGeometry::Infinite, ConfidenceConfig::always_predict());
-    let mut profiles: HashMap<u64, PcProfile> = HashMap::new();
-    for rec in trace {
+/// The profiling pass as a forward fold: feed a training trace's slots in
+/// order through ungated last-value and stride predictors, recording
+/// per-PC accuracies.
+#[derive(Debug)]
+pub struct Profiler {
+    lvp: LastValuePredictor,
+    svp: StridePredictor,
+    profiles: HashMap<u64, PcProfile>,
+}
+
+impl Profiler {
+    /// Feeds one dynamic instruction (must be called in trace order).
+    pub fn feed(&mut self, rec: Slot<'_>) {
         if !rec.produces_value() {
-            continue;
+            return;
         }
-        let p = profiles.entry(rec.pc).or_default();
+        let (pc, result) = (rec.pc(), rec.result());
+        let p = self.profiles.entry(pc).or_default();
         p.instances += 1;
-        let lp = lvp.lookup(rec.pc);
-        lvp.commit(rec.pc, rec.result, lp);
-        if lp == Some(rec.result) {
-            p.last_value_correct += 1;
-        }
-        let sp = svp.lookup(rec.pc);
-        svp.commit(rec.pc, rec.result, sp);
-        if sp == Some(rec.result) {
-            p.stride_correct += 1;
+        let lp = self.lvp.lookup(pc);
+        self.lvp.commit(pc, result, lp);
+        p.last_value_correct += u64::from(lp == Some(result));
+        let sp = self.svp.lookup(pc);
+        self.svp.commit(pc, result, sp);
+        p.stride_correct += u64::from(sp == Some(result));
+    }
+
+    /// The per-PC profiles gathered so far.
+    pub fn finish(self) -> HashMap<u64, PcProfile> {
+        self.profiles
+    }
+}
+
+impl Default for Profiler {
+    /// A profiler with empty predictors.
+    fn default() -> Profiler {
+        Profiler {
+            lvp: LastValuePredictor::new(
+                TableGeometry::Infinite,
+                ConfidenceConfig::always_predict(),
+            ),
+            svp: StridePredictor::new(TableGeometry::Infinite, ConfidenceConfig::always_predict()),
+            profiles: HashMap::new(),
         }
     }
-    profiles
 }
 
 /// Converts per-PC profiles into hybrid-predictor hints.
@@ -131,7 +151,9 @@ pub fn hints_from_profiles(
 /// # }
 /// ```
 pub fn profile_hints(trace: &Trace, threshold: f64) -> HashMap<u64, HintClass> {
-    hints_from_profiles(&profile(trace), threshold)
+    let mut profiler = Profiler::default();
+    trace.view().slots().for_each(|rec| profiler.feed(rec));
+    hints_from_profiles(&profiler.finish(), threshold)
 }
 
 #[cfg(test)]
@@ -156,7 +178,9 @@ mod tests {
 
     #[test]
     fn profiles_measure_both_predictors() {
-        let p = profile(&mixed_trace());
+        let mut profiler = Profiler::default();
+        mixed_trace().view().slots().for_each(|rec| profiler.feed(rec));
+        let p = profiler.finish();
         // pc 1 (counter): stride-perfect after warm-up, last-value-hostile.
         let counter = p[&1];
         assert!(counter.stride_accuracy() > 0.99, "{counter:?}");

@@ -35,13 +35,15 @@ use fetchvp_bpred::{GshareConfig, TwoLevelConfig};
 use fetchvp_core::{
     BtbKind, FrontEnd, IdealConfig, MachineConfig, PredictorKind, RealisticConfig, VpConfig,
 };
-use fetchvp_dfg::profiling::profile_hints;
+use fetchvp_dfg::profiling::{hints_from_profiles, Profiler};
 use fetchvp_fetch::{BacConfig, TraceCacheConfig};
 use fetchvp_predictor::{BankedConfig, ConfidenceConfig, StrideKind, TableGeometry};
-use fetchvp_predictor::{HybridPredictor, StridePredictor, ValuePredictor};
+use fetchvp_predictor::{HybridPredictor, PredictorStats, StridePredictor, ValuePredictor};
+use fetchvp_tracestore::TraceSource;
+use fetchvp_workloads::Workload;
 
 use crate::report::{num, pct, Table};
-use crate::sweep::Sweep;
+use crate::sweep::{fold_slots, Sweep};
 use crate::{mean, ExperimentConfig};
 
 /// Per-workload rows of (coverage, accuracy, speedup) triples, one
@@ -392,9 +394,11 @@ pub fn seed_stability(cfg: &ExperimentConfig) -> SeedStabilityResult {
 
 /// [`seed_stability`] parallelized within each seed. Every seed generates
 /// *different* traces, so it cannot share the caller's [`TraceCache`](crate::TraceCache); each
-/// seed gets its own sweep (with the caller's job count) and runs in turn.
+/// seed gets its own sweep (with the caller's job count and trace
+/// directory) and runs in turn.
 pub fn seed_stability_with(sweep: &Sweep) -> SeedStabilityResult {
     let cfg = sweep.config();
+    let trace_dir = sweep.cache().trace_dir();
     let seeds = [cfg.workloads.seed, 1, 42, 0xDEAD_BEEF, 0x1998];
     let mut per_rate: Vec<Vec<f64>> = vec![Vec::new(); crate::fig3_1::FETCH_RATES.len()];
     for seed in seeds {
@@ -402,7 +406,8 @@ pub fn seed_stability_with(sweep: &Sweep) -> SeedStabilityResult {
             workloads: fetchvp_workloads::WorkloadParams { seed, ..cfg.workloads },
             ..*cfg
         };
-        let averages = crate::fig3_1::run_with(&Sweep::with_jobs(&seeded, sweep.jobs())).averages();
+        let seeded = Sweep::with_trace_dir(&seeded, trace_dir.cloned(), sweep.jobs());
+        let averages = crate::fig3_1::run_with(&seeded).averages();
         for (i, a) in averages.into_iter().enumerate() {
             per_rate[i].push(a);
         }
@@ -657,44 +662,10 @@ pub fn hint_study(cfg: &ExperimentConfig) -> HintStudyResult {
 }
 
 /// [`hint_study`] on a [`Sweep`], one job per benchmark (the three schemes
-/// share a single pass over the trace).
+/// share the measuring pass over the trace).
 pub fn hint_study_with(sweep: &Sweep) -> HintStudyResult {
     let names = ["stride", "hybrid (dynamic)", "hybrid (profiled hints)"];
-    let rows = sweep.per_workload(|_, trace| {
-        let (train_trace, _) = trace.split_at(trace.len() / 2);
-        let view = trace.view();
-        let split = trace.len() / 2;
-        let hints = profile_hints(&train_trace, 0.85);
-        let mut predictors: [Box<dyn ValuePredictor>; 3] = [
-            Box::new(StridePredictor::infinite()),
-            Box::new(HybridPredictor::paper()),
-            Box::new(HybridPredictor::paper().with_hints(hints)),
-        ];
-        // Warm all predictors on the training half, then measure on the
-        // evaluation half.
-        let mut evaluation = [fetchvp_predictor::PredictorStats::default(); 3];
-        for (phase, range) in [(0, 0..split), (1, split..trace.len())] {
-            for rec in view.slots_in(range) {
-                if !rec.produces_value() {
-                    continue;
-                }
-                for (i, p) in predictors.iter_mut().enumerate() {
-                    let before = p.stats();
-                    let predicted = p.lookup(rec.pc());
-                    p.commit(rec.pc(), rec.result(), predicted);
-                    if phase == 1 {
-                        let after = p.stats();
-                        evaluation[i].lookups += after.lookups - before.lookups;
-                        evaluation[i].predictions += after.predictions - before.predictions;
-                        evaluation[i].correct += after.correct - before.correct;
-                        evaluation[i].incorrect += after.incorrect - before.incorrect;
-                        evaluation[i].unpredicted += after.unpredicted - before.unpredicted;
-                    }
-                }
-            }
-        }
-        evaluation.iter().map(|e| (e.coverage(), e.accuracy())).collect::<Vec<_>>()
-    });
+    let rows = sweep.per_workload(hint_row);
     HintStudyResult {
         points: names
             .iter()
@@ -704,6 +675,53 @@ pub fn hint_study_with(sweep: &Sweep) -> HintStudyResult {
             })
             .collect(),
     }
+}
+
+/// One benchmark's `(coverage, accuracy)` per scheme on the evaluation
+/// half.
+pub(crate) fn hint_row(w: &Workload, source: &TraceSource) -> Vec<(f64, f64)> {
+    // Two walks: the first profiles the training half; the second warms
+    // all predictors on it and measures the evaluation half as the change
+    // in their statistics from the split to the end.
+    let split = source.len() / 2;
+    let profiler = fold_slots(w, source, Profiler::default(), |profiler, rec| {
+        if rec.seq() < split {
+            profiler.feed(rec);
+        }
+    });
+    let hints = hints_from_profiles(&profiler.finish(), 0.85);
+    let predictors: [Box<dyn ValuePredictor>; 3] = [
+        Box::new(StridePredictor::infinite()),
+        Box::new(HybridPredictor::paper()),
+        Box::new(HybridPredictor::paper().with_hints(hints)),
+    ];
+    let stats = |ps: &[Box<dyn ValuePredictor>; 3]| ps.each_ref().map(|p| p.stats());
+    let (predictors, at_split) =
+        fold_slots(w, source, (predictors, None), |(predictors, at_split), rec| {
+            if rec.seq() == split {
+                *at_split = Some(stats(predictors));
+            }
+            if rec.produces_value() {
+                for p in predictors.iter_mut() {
+                    let predicted = p.lookup(rec.pc());
+                    p.commit(rec.pc(), rec.result(), predicted);
+                }
+            }
+        });
+    let end = stats(&predictors);
+    let evaluation = |e: &PredictorStats, s: PredictorStats| PredictorStats {
+        lookups: e.lookups - s.lookups,
+        predictions: e.predictions - s.predictions,
+        correct: e.correct - s.correct,
+        incorrect: e.incorrect - s.incorrect,
+        unpredicted: e.unpredicted - s.unpredicted,
+    };
+    let at_split = at_split.unwrap_or(end);
+    end.iter()
+        .zip(at_split)
+        .map(|(e, s)| evaluation(e, s))
+        .map(|e| (e.coverage(), e.accuracy()))
+        .collect()
 }
 
 /// Result of the fetch-mechanism comparison.

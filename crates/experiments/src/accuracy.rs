@@ -7,8 +7,11 @@ use fetchvp_predictor::{
     StridePredictor, TableGeometry, ValuePredictor,
 };
 
+use fetchvp_tracestore::TraceSource;
+use fetchvp_workloads::Workload;
+
 use crate::report::{pct, Table};
-use crate::sweep::Sweep;
+use crate::sweep::{fold_slots, Sweep};
 use crate::ExperimentConfig;
 
 /// The predictors compared (in column order).
@@ -67,20 +70,21 @@ pub fn run(cfg: &ExperimentConfig) -> AccuracyResult {
 /// Runs the measurement on a [`Sweep`], one job per benchmark (the four
 /// predictors share a single pass over the trace).
 pub fn run_with(sweep: &Sweep) -> AccuracyResult {
-    let rows = sweep.per_workload(|_, trace| {
-        let mut predictors = build_predictors();
-        for rec in trace {
-            if !rec.produces_value() {
-                continue;
-            }
-            for p in &mut predictors {
-                let predicted = p.lookup(rec.pc);
-                p.commit(rec.pc, rec.result, predicted);
+    let rows = sweep.per_workload(predictor_stats);
+    AccuracyResult { rows: rows.into_iter().map(|(n, s)| (n.to_string(), s)).collect() }
+}
+
+/// One benchmark's statistics, predictors in [`PREDICTORS`] order.
+pub(crate) fn predictor_stats(workload: &Workload, source: &TraceSource) -> [PredictorStats; 4] {
+    let predictors = fold_slots(workload, source, build_predictors(), |predictors, rec| {
+        if rec.produces_value() {
+            for p in predictors.iter_mut() {
+                let predicted = p.lookup(rec.pc());
+                p.commit(rec.pc(), rec.result(), predicted);
             }
         }
-        [predictors[0].stats(), predictors[1].stats(), predictors[2].stats(), predictors[3].stats()]
     });
-    AccuracyResult { rows: rows.into_iter().map(|(n, s)| (n.to_string(), s)).collect() }
+    predictors.map(|p| p.stats())
 }
 
 #[cfg(test)]

@@ -35,15 +35,15 @@
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use fetchvp_core::{
-    run_batch, BtbKind, FrontEnd, IdealConfig, MachineConfig, RealisticConfig, VpConfig,
-};
+use fetchvp_core::{BtbKind, FrontEnd, IdealConfig, MachineConfig, RealisticConfig, VpConfig};
 use fetchvp_fetch::{BacConfig, TraceCacheConfig};
 use fetchvp_metrics::{Json, MetricsSink, Registry};
 use fetchvp_predictor::BankedConfig;
-use fetchvp_trace::Trace;
-use fetchvp_tracestore::{run_batch_store, stream_store_stats, CacheCounters, TraceStore};
+use fetchvp_trace::StatsAccum;
+use fetchvp_tracestore::{run_batch_source, CacheCounters, TraceSource};
+use fetchvp_workloads::Workload;
 
+use crate::sweep::fold_slots;
 use crate::{ExperimentConfig, Sweep};
 
 /// Schema identifier embedded in every report.
@@ -179,9 +179,6 @@ impl BenchReport {
     }
 }
 
-/// Labels of the bench machine set, in [`bench_configs`] order.
-const MACHINE_LABELS: [&str; 4] = ["ideal16", "conv4_banked", "bac", "trace_cache"];
-
 /// The machine configurations a bench cell runs, spanning every counted
 /// subsystem. All four advance in batched lockstep over one trace walk.
 fn bench_configs() -> [MachineConfig; 4] {
@@ -215,27 +212,6 @@ fn bench_configs() -> [MachineConfig; 4] {
     ]
 }
 
-/// Runs the bench machine set over an in-memory trace. Returns
-/// `(label, simulated instructions, metrics)` per run.
-fn machine_runs(trace: &Trace) -> Vec<(&'static str, u64, Registry)> {
-    run_batch(trace, &bench_configs())
-        .into_iter()
-        .zip(MACHINE_LABELS)
-        .map(|(r, label)| (label, r.instructions, r.metrics()))
-        .collect()
-}
-
-/// [`machine_runs`] over an on-disk store (chunked replay, byte-identical
-/// metrics).
-fn machine_runs_store(store: &TraceStore) -> Vec<(&'static str, u64, Registry)> {
-    run_batch_store(store, &bench_configs())
-        .unwrap_or_else(|e| panic!("out-of-core bench replay of `{}`: {e}", store.name()))
-        .into_iter()
-        .zip(MACHINE_LABELS)
-        .map(|(r, label)| (label, r.instructions, r.metrics()))
-        .collect()
-}
-
 /// Runs the bench suite on an existing [`Sweep`] (its configuration decides
 /// trace length and seed; its job count decides parallelism), timing each
 /// cell once.
@@ -252,34 +228,10 @@ pub fn run_with(sweep: &Sweep, quick: bool) -> BenchReport {
 pub fn run_repeat(sweep: &Sweep, quick: bool, repeat: usize) -> BenchReport {
     let repeat = repeat.max(1);
     let cfg = *sweep.config();
-    // The counters are deterministic across both paths (`run_batch_store`
-    // is byte-identical to `run_batch`), so out-of-core only changes where
-    // the wall time goes.
-    let cells: Vec<(&'static str, (u64, f64, Registry))> = if sweep.cache().out_of_core() {
-        sweep.per_workload_store_extended(|_, store| {
-            bench_cell(repeat, &|| {
-                let stats = stream_store_stats(store)
-                    .unwrap_or_else(|e| panic!("streaming stats of `{}`: {e}", store.name()));
-                (stats, machine_runs_store(store))
-            })
-        })
-    } else {
-        sweep
-            .cells_extended(&[()], |_, trace, ()| {
-                bench_cell(repeat, &|| (trace.stats(), machine_runs(trace)))
-            })
-            .into_iter()
-            .map(|(name, mut rs)| (name, rs.pop().expect("one bench result per workload")))
-            .collect()
-    };
-    let workloads: Vec<WorkloadBench> = cells
+    let workloads: Vec<WorkloadBench> = sweep
+        .cells_extended(&[()], |w, source, ()| bench_cell(repeat, w, source))
         .into_iter()
-        .map(|(name, (instructions, wall_seconds, registry))| WorkloadBench {
-            name,
-            instructions,
-            wall_seconds,
-            registry,
-        })
+        .flat_map(|(_, cells)| cells)
         .collect();
     BenchReport {
         date: iso_date_today(),
@@ -294,32 +246,33 @@ pub fn run_repeat(sweep: &Sweep, quick: bool, repeat: usize) -> BenchReport {
     }
 }
 
-/// Times one workload's bench cell `repeat` times (best wall time kept,
-/// first repetition's deterministic counters kept).
-fn bench_cell(
-    repeat: usize,
-    run: &dyn Fn() -> (fetchvp_trace::TraceStats, Vec<(&'static str, u64, Registry)>),
-) -> (u64, f64, Registry) {
-    let mut best = f64::INFINITY;
-    let mut instructions = 0u64;
-    let mut registry = Registry::new();
+/// Times one workload's bench cell — its trace statistics plus every
+/// bench machine in one batched walk — `repeat` times (best wall time
+/// kept, first repetition's deterministic counters kept).
+fn bench_cell(repeat: usize, w: &Workload, source: &TraceSource) -> WorkloadBench {
+    let mut cell = WorkloadBench {
+        name: w.name(),
+        instructions: 0,
+        wall_seconds: f64::INFINITY,
+        registry: Registry::new(),
+    };
     for rep in 0..repeat {
         let cell_start = Instant::now();
-        let (stats, runs) = run();
-        let mut reg = Registry::new();
-        stats.export_metrics(&mut reg, "trace");
-        let mut instrs = 0u64;
-        for (_, n, metrics) in runs {
-            instrs += n;
-            reg.merge(&metrics);
+        let stats = fold_slots(w, source, StatsAccum::new(), StatsAccum::push).finish();
+        let runs = run_batch_source(source, &bench_configs(), None)
+            .unwrap_or_else(|e| panic!("bench replay of `{}`: {e}", w.name()));
+        let mut registry = Registry::new();
+        stats.export_metrics(&mut registry, "trace");
+        for run in &runs {
+            registry.merge(&run.metrics());
         }
-        best = best.min(cell_start.elapsed().as_secs_f64());
+        cell.wall_seconds = cell.wall_seconds.min(cell_start.elapsed().as_secs_f64());
         if rep == 0 {
-            instructions = instrs;
-            registry = reg;
+            cell.instructions = runs.iter().map(|r| r.instructions).sum();
+            cell.registry = registry;
         }
     }
-    (instructions, best, registry)
+    cell
 }
 
 /// Runs the bench suite from scratch with `jobs` workers. `quick` selects

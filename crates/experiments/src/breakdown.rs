@@ -75,7 +75,11 @@ pub fn run_with(sweep: &Sweep) -> BreakdownResult {
     let fe =
         FrontEnd::Conventional { width: 40, max_taken: Some(4), btb: BtbKind::two_level_paper() };
     let configs = [VpConfig::None, VpConfig::stride_infinite()];
-    let rows = sweep.cells(&configs, |_, trace, &vp| {
+    // The event machine is the kernel-independent oracle: it runs over a
+    // whole resident trace, not the kernel's windowed feed.
+    sweep.cache().assert_resident();
+    let rows = sweep.cells(&configs, |_, source, &vp| {
+        let trace = source.resident().expect("asserted resident above");
         EventMachine::new(RealisticConfig::paper(fe, vp))
             .run(trace)
             .cycle_breakdown

@@ -3,11 +3,9 @@
 //! Paper shape: every benchmark's average DID exceeds the 4-instruction
 //! fetch width of then-current processors.
 
-use fetchvp_dfg::analyze;
-
 use crate::report::{num, Table};
 use crate::sweep::Sweep;
-use crate::{mean, ExperimentConfig};
+use crate::{did_analysis, mean, ExperimentConfig};
 
 /// Per-benchmark average DID.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +46,7 @@ pub fn run(cfg: &ExperimentConfig) -> Fig33Result {
 
 /// Runs the experiment on a [`Sweep`], one job per benchmark.
 pub fn run_with(sweep: &Sweep) -> Fig33Result {
-    let rows = sweep.per_workload(|_, trace| analyze(trace).avg_did());
+    let rows = sweep.per_workload(|w, source| did_analysis(w, source).avg_did());
     Fig33Result { rows: rows.into_iter().map(|(n, d)| (n.to_string(), d)).collect() }
 }
 

@@ -4,11 +4,11 @@
 //! dependencies span across instructions in a greater or equal distance of
 //! 4 instructions".
 
-use fetchvp_dfg::{analyze, DidHistogram};
+use fetchvp_dfg::DidHistogram;
 
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
-use crate::{mean, ExperimentConfig};
+use crate::{did_analysis, mean, ExperimentConfig};
 
 /// Per-benchmark DID histograms.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +55,7 @@ pub fn run(cfg: &ExperimentConfig) -> Fig34Result {
 
 /// Runs the experiment on a [`Sweep`], one job per benchmark.
 pub fn run_with(sweep: &Sweep) -> Fig34Result {
-    let rows = sweep.per_workload(|_, trace| analyze(trace).histogram);
+    let rows = sweep.per_workload(|w, source| did_analysis(w, source).histogram);
     Fig34Result { rows: rows.into_iter().map(|(n, h)| (n.to_string(), h)).collect() }
 }
 

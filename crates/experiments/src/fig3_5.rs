@@ -5,11 +5,9 @@
 //! (exploitable by a 4-wide machine); the predictable-and-long fraction is
 //! ≈40% for m88ksim and >55% for vortex versus ≈20–25% elsewhere.
 
-use fetchvp_dfg::analyze;
-
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
-use crate::{mean, ExperimentConfig};
+use crate::{did_analysis, mean, ExperimentConfig};
 
 /// One benchmark's predictability breakdown (fractions of all arcs).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,8 +63,8 @@ pub fn run(cfg: &ExperimentConfig) -> Fig35Result {
 
 /// Runs the experiment on a [`Sweep`], one job per benchmark.
 pub fn run_with(sweep: &Sweep) -> Fig35Result {
-    let rows = sweep.per_workload(|_, trace| {
-        let p = analyze(trace).predictability;
+    let rows = sweep.per_workload(|w, source| {
+        let p = did_analysis(w, source).predictability;
         PredRow {
             unpredictable: 1.0 - p.fraction_predictable(),
             predictable_short: p.fraction_predictable_short(4),

@@ -16,8 +16,8 @@
 //! {
 //!   "experiment": "bench",   // required; see EXPERIMENTS
 //!   "trace_len": 60000,      // optional; 1..=MAX_TRACE_LEN, default 60000
-//!                            // (machine sweeps may go to MAX_TRACE_LEN_OOC
-//!                            //  when the daemon has a trace directory)
+//!                            // (up to MAX_TRACE_LEN_OOC when the daemon has
+//!                            //  a trace directory, except `breakdown`)
 //!   "seed": 1998,            // optional; workload data seed
 //!   "jobs": 1                // optional; 1..=MAX_JOBS sweep workers, default 1
 //! }
@@ -30,22 +30,23 @@
 
 use fetchvp_metrics::{Json, Registry};
 
+use crate::sweep::RESIDENT_ONLY;
 use crate::{
     ablations, accuracy, bench, breakdown, fig3_1, fig3_3, fig3_4, fig3_5, fig5_1, fig5_2, fig5_3,
     table3_1, usefulness, ExperimentConfig, Sweep, Table,
 };
 
-/// Upper bound on a served job's `trace_len` when the job must hold its
-/// traces in memory.
+/// Upper bound on a served job's `trace_len` when the job holds its traces
+/// in memory.
 ///
 /// The default CLI configuration traces 1M instructions per benchmark;
 /// 5M bounds a single request at a few suite-seconds of simulation while
 /// still covering every configuration the committed experiments use.
 pub const MAX_TRACE_LEN: u64 = 5_000_000;
 
-/// Upper bound on a served job's `trace_len` when the experiment can
-/// replay out-of-core ([`supports_out_of_core`]) *and* the server runs
-/// with a trace directory — the paper's 100M-instruction scale.
+/// Upper bound on a served job's `trace_len` when the server runs with a
+/// trace directory and the experiment does not need whole resident traces
+/// ([`needs_resident_trace`]) — the paper's 100M-instruction scale.
 pub const MAX_TRACE_LEN_OOC: u64 = 100_000_000;
 
 /// Default `trace_len` when the spec omits it — the `--quick` bench
@@ -73,12 +74,27 @@ pub const EXPERIMENTS: &[&str] = &[
     "usefulness",
 ];
 
-/// Whether `experiment` runs exclusively through the machine-sweep path
-/// (`Sweep::machines*`), which can replay chunk-by-chunk from an on-disk
-/// store. Analysis runners (DID distances, histograms, accuracy tables)
-/// walk whole traces and stay bounded by [`MAX_TRACE_LEN`].
-pub fn supports_out_of_core(experiment: &str) -> bool {
-    matches!(experiment, "bench" | "fig3-1" | "fig5-1" | "fig5-2" | "fig5-3" | "usefulness")
+/// Whether `experiment` needs each whole trace resident in memory
+/// ([`RESIDENT_ONLY`]) and so can never exceed the in-memory bound. Every
+/// other experiment walks on-disk stores chunk by chunk beyond it, given a
+/// trace directory.
+pub fn needs_resident_trace(experiment: &str) -> bool {
+    RESIDENT_ONLY.contains(&experiment)
+}
+
+/// Why a run of `experiment` cannot exceed the in-memory `bound`, for the
+/// CLI's and the daemon's error messages (the caller prefixes the
+/// offending length): a resident-only experiment never can, any other
+/// needs a trace directory.
+pub fn over_bound_reason(experiment: &str, bound: u64) -> String {
+    let why = if needs_resident_trace(experiment) {
+        format!("`{experiment}` needs whole resident traces ({})", RESIDENT_ONLY.join(", "))
+    } else {
+        "longer runs replay from disk and need a trace directory: pass --trace-dir DIR (or set \
+         FETCHVP_TRACE_DIR)"
+            .to_string()
+    };
+    format!("exceeds the in-memory limit of {bound} instructions; {why}")
 }
 
 /// A validated request to run one experiment.
@@ -128,10 +144,10 @@ impl JobSpec {
 
     /// [`JobSpec::from_json`] with the server's capabilities made
     /// explicit: when `ooc_available` (the daemon has a trace directory),
-    /// machine-sweep experiments ([`supports_out_of_core`]) may request up
-    /// to [`MAX_TRACE_LEN_OOC`] instructions. The error messages
-    /// distinguish "too big for memory" (a capability problem, naming the
-    /// missing piece) from a plainly invalid value.
+    /// every experiment but the resident-only ones
+    /// ([`needs_resident_trace`]) may request up to [`MAX_TRACE_LEN_OOC`]
+    /// instructions. The error messages distinguish "too big for memory"
+    /// ([`over_bound_reason`]) from a plainly invalid value.
     pub fn from_json_with_limits(doc: &Json, ooc_available: bool) -> Result<JobSpec, String> {
         let pairs = doc.as_object().ok_or("job spec must be a JSON object")?;
         let mut spec = JobSpec::default();
@@ -172,25 +188,14 @@ impl JobSpec {
         // cap depends on which experiment was requested.
         spec.experiment = experiment.ok_or("job spec is missing the `experiment` field")?;
         if let Some(n) = trace_len {
-            let ooc_capable = supports_out_of_core(&spec.experiment);
-            let cap = if ooc_available && ooc_capable { MAX_TRACE_LEN_OOC } else { MAX_TRACE_LEN };
-            if n == 0 || n > cap {
-                return Err(if n > MAX_TRACE_LEN && n <= MAX_TRACE_LEN_OOC && !ooc_capable {
-                    format!(
-                        "field `trace_len` {n} exceeds the in-memory limit {MAX_TRACE_LEN}, and \
-                         experiment `{}` cannot replay out-of-core (only machine sweeps can: \
-                         bench, fig3-1, fig5-1, fig5-2, fig5-3, usefulness)",
-                        spec.experiment
-                    )
-                } else if n > MAX_TRACE_LEN && n <= MAX_TRACE_LEN_OOC && !ooc_available {
-                    format!(
-                        "field `trace_len` {n} exceeds the in-memory limit {MAX_TRACE_LEN}; \
-                         out-of-core replay (up to {MAX_TRACE_LEN_OOC}) needs the daemon started \
-                         with a trace directory (--trace-dir)"
-                    )
-                } else {
-                    format!("field `trace_len` must be in 1..={cap}, got {n}")
-                });
+            if n == 0 || n > MAX_TRACE_LEN_OOC {
+                return Err(format!(
+                    "field `trace_len` must be in 1..={MAX_TRACE_LEN_OOC}, got {n}"
+                ));
+            }
+            if n > MAX_TRACE_LEN && (!ooc_available || needs_resident_trace(&spec.experiment)) {
+                let why = over_bound_reason(&spec.experiment, MAX_TRACE_LEN);
+                return Err(format!("field `trace_len` {n} {why}"));
             }
             spec.trace_len = n;
         }
@@ -370,25 +375,27 @@ mod tests {
 
     #[test]
     fn out_of_core_lengths_need_a_capable_experiment_and_a_trace_dir() {
-        let big = MAX_TRACE_LEN + 1;
         let parse =
             |text: &str, ooc| JobSpec::from_json_with_limits(&Json::parse(text).unwrap(), ooc);
 
-        // Capable experiment + trace dir: accepted up to the OOC cap.
-        let text = format!(r#"{{"experiment": "fig3-1", "trace_len": {MAX_TRACE_LEN_OOC}}}"#);
+        // Figures, tables and ablations alike: admitted at paper scale with
+        // a trace dir, rejected without one with the fix named.
+        for experiment in ["fig3-1", "fig3-3", "table3-1", "accuracy", "ablation-fetch", "bench"] {
+            let text = format!(r#"{{"experiment": "{experiment}", "trace_len": 20000000}}"#);
+            assert_eq!(parse(&text, true).unwrap().trace_len, 20_000_000, "{experiment}");
+            let err = parse(&text, false).unwrap_err();
+            assert!(err.contains("trace directory"), "{experiment}: {err}");
+            assert!(err.contains("--trace-dir"), "{experiment}: {err}");
+        }
+        let text = format!(r#"{{"experiment": "fig3-3", "trace_len": {MAX_TRACE_LEN_OOC}}}"#);
         assert_eq!(parse(&text, true).unwrap().trace_len, MAX_TRACE_LEN_OOC);
 
-        // Capable experiment, no trace dir: the error names the missing
-        // capability, not just the range.
-        let text = format!(r#"{{"experiment": "bench", "trace_len": {big}}}"#);
-        let err = parse(&text, false).unwrap_err();
-        assert!(err.contains("trace directory"), "error should name the fix: {err}");
-
-        // Trace dir available, but an analysis experiment: the error says
-        // the experiment itself cannot replay out-of-core.
-        let text = format!(r#"{{"experiment": "fig3-3", "trace_len": {big}}}"#);
-        let err = parse(&text, true).unwrap_err();
-        assert!(err.contains("cannot replay out-of-core"), "error should blame fig3-3: {err}");
+        // The event-machine oracle needs whole traces in memory: rejected
+        // even with a trace dir, and the error says why.
+        let text = r#"{"experiment": "breakdown", "trace_len": 20000000}"#;
+        let err = parse(text, true).unwrap_err();
+        assert!(err.contains("whole resident traces"), "error should blame breakdown: {err}");
+        assert!(err.contains(&MAX_TRACE_LEN.to_string()), "error should name the bound: {err}");
 
         // Beyond even the OOC cap: plain range error.
         let text = format!(r#"{{"experiment": "fig3-1", "trace_len": {}}}"#, MAX_TRACE_LEN_OOC + 1);
@@ -396,8 +403,11 @@ mod tests {
         assert!(err.contains(&MAX_TRACE_LEN_OOC.to_string()), "error should name the cap: {err}");
 
         // Field order must not matter: trace_len before experiment.
+        let big = MAX_TRACE_LEN + 1;
         let text = format!(r#"{{"trace_len": {big}, "experiment": "fig5-2"}}"#);
         assert_eq!(parse(&text, true).unwrap().trace_len, big);
+        let text = format!(r#"{{"trace_len": {big}, "experiment": "breakdown"}}"#);
+        assert!(parse(&text, true).is_err());
     }
 
     #[test]

@@ -76,7 +76,9 @@ pub use jobspec::{JobOutcome, JobSpec};
 pub use report::Table;
 pub use sweep::{default_jobs, Sweep, SweepProgress, TraceCache, MAX_IN_MEMORY_TRACE_LEN};
 
+use fetchvp_dfg::{DidAnalysis, DidAnalyzer};
 use fetchvp_trace::{trace_program, Trace};
+use fetchvp_tracestore::TraceSource;
 use fetchvp_workloads::{suite, Workload, WorkloadParams};
 
 /// Shared configuration for all experiment runners.
@@ -113,6 +115,12 @@ pub fn for_each_trace(cfg: &ExperimentConfig, mut f: impl FnMut(&Workload, &Trac
         let trace = trace_program(workload.program(), cfg.trace_len);
         f(&workload, &trace);
     }
+}
+
+/// One workload's §3.3 DID analysis (Figures 3.3, 3.4 and 3.5 in one
+/// forward walk).
+pub(crate) fn did_analysis(workload: &Workload, source: &TraceSource) -> DidAnalysis {
+    sweep::fold_slots(workload, source, DidAnalyzer::new(), DidAnalyzer::feed).finish()
 }
 
 /// The arithmetic mean of a slice (0 for an empty slice).

@@ -35,11 +35,11 @@ use std::io::BufWriter;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use fetchvp_core::{run_batch, BatchRunner, MachineConfig, MachineResult, ProgressSink};
-use fetchvp_trace::{trace_program, Trace};
+use fetchvp_core::{MachineConfig, MachineResult};
+use fetchvp_trace::{trace_program, Slot, Trace};
 use fetchvp_tracestore::{
-    run_batch_store_with_progress, stream_program_to_store, CacheCounters, ReplayProgress,
-    TraceDir, TraceKey, TraceStore, DEFAULT_CHUNK_LEN,
+    run_batch_source, stream_program_to_store, CacheCounters, ReplayProgress, TraceDir, TraceKey,
+    TraceSource, TraceStore, DEFAULT_CHUNK_LEN,
 };
 use fetchvp_workloads::{extended_suite, Workload};
 
@@ -57,14 +57,20 @@ pub const BATCH_CHUNK: usize = 8;
 /// appends `mgrid` for Figure 5.3).
 pub const SUITE_LEN: usize = 8;
 
-/// Largest trace the cache materializes in memory. A decoded instruction
-/// costs ~39 bytes of columns, so 8M instructions is roughly 300 MiB per
-/// workload — the last size where holding whole traces is reasonable.
-/// Beyond it, sweeps replay chunk-by-chunk from an on-disk store
-/// ([`fetchvp_tracestore`]), which requires a trace directory.
+/// Largest trace the cache holds resident in memory. A decoded
+/// instruction costs ~39 bytes of columns, so 8M instructions is roughly
+/// 300 MiB per workload — the last size where holding whole traces is
+/// reasonable. Beyond it, every runner walks an on-disk store chunk by
+/// chunk ([`fetchvp_tracestore`]), which requires a trace directory.
 pub const MAX_IN_MEMORY_TRACE_LEN: u64 = 8_000_000;
 
-/// Lazily generates and shares one trace per workload.
+/// The commands that need whole traces in memory, and so stay within
+/// [`MAX_IN_MEMORY_TRACE_LEN`]: the `EventMachine` oracle, the `trace-viz`
+/// witness, and commands that trace their own programs. Every other
+/// runner is a forward walk over [`TraceSource`] windows.
+pub const RESIDENT_ONLY: [&str; 5] = ["breakdown", "trace-viz", "atlas", "run-asm", "profile"];
+
+/// Lazily generates and shares one trace source per workload.
 ///
 /// Holds the *extended* suite (integer benchmarks plus `mgrid`); runners
 /// that only need the 8-benchmark suite simply never request the last
@@ -76,8 +82,7 @@ pub struct TraceCache {
     /// second run against a warm directory generates nothing.
     trace_dir: Option<Arc<TraceDir>>,
     workloads: Vec<Workload>,
-    slots: Vec<OnceLock<Arc<Trace>>>,
-    store_slots: Vec<OnceLock<Arc<TraceStore>>>,
+    slots: Vec<OnceLock<TraceSource>>,
     generated: AtomicUsize,
 }
 
@@ -93,27 +98,12 @@ impl TraceCache {
     pub fn with_trace_dir(cfg: &ExperimentConfig, trace_dir: Option<Arc<TraceDir>>) -> TraceCache {
         let workloads = extended_suite(&cfg.workloads);
         let slots = (0..workloads.len()).map(|_| OnceLock::new()).collect();
-        let store_slots = (0..workloads.len()).map(|_| OnceLock::new()).collect();
-        TraceCache {
-            cfg: *cfg,
-            trace_dir,
-            workloads,
-            slots,
-            store_slots,
-            generated: AtomicUsize::new(0),
-        }
+        TraceCache { cfg: *cfg, trace_dir, workloads, slots, generated: AtomicUsize::new(0) }
     }
 
     /// The backing trace directory, if any.
     pub fn trace_dir(&self) -> Option<&Arc<TraceDir>> {
         self.trace_dir.as_ref()
-    }
-
-    /// Whether this configuration's traces are too large to materialize
-    /// (see [`MAX_IN_MEMORY_TRACE_LEN`]). Out-of-core runs replay from
-    /// disk and support machine sweeps only.
-    pub fn out_of_core(&self) -> bool {
-        self.cfg.trace_len > MAX_IN_MEMORY_TRACE_LEN
     }
 
     /// The content-address of workload `index`'s trace under this
@@ -125,43 +115,6 @@ impl TraceCache {
             self.cfg.workloads.scale,
             self.cfg.trace_len,
         )
-    }
-
-    /// The on-disk store of workload `index`, generated through the trace
-    /// directory on first request (a warm directory serves it without
-    /// generating). Requires a trace directory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache has no trace directory, or on I/O failure —
-    /// sweeps have no error channel, and a sweep that cannot read its
-    /// traces cannot do anything else either.
-    pub fn store(&self, index: usize) -> Arc<TraceStore> {
-        let dir = self.trace_dir.as_ref().expect(
-            "this run needs a trace directory for its on-disk traces: \
-             pass --trace-dir DIR (or set FETCHVP_TRACE_DIR)",
-        );
-        Arc::clone(self.store_slots[index].get_or_init(|| {
-            let key = self.key(index);
-            let store = dir
-                .open_or_create(&key, |path| {
-                    self.generated.fetch_add(1, Ordering::Relaxed);
-                    let out = BufWriter::new(File::create(path)?);
-                    let program = self.workloads[index].program();
-                    stream_program_to_store(
-                        program,
-                        program.name(),
-                        self.cfg.trace_len,
-                        DEFAULT_CHUNK_LEN,
-                        out,
-                    )?;
-                    Ok(())
-                })
-                .unwrap_or_else(|e| {
-                    panic!("trace store for `{}`: {e}", self.workloads[index].name())
-                });
-            Arc::new(store)
-        }))
     }
 
     /// The configuration the cached traces were generated under.
@@ -179,39 +132,78 @@ impl TraceCache {
         }
     }
 
-    /// The trace of workload `index` (extended-suite order), generating it
-    /// on first request. Concurrent requesters for the same workload block
-    /// until the single generation finishes, then share the same `Arc`.
-    /// With a trace directory, generation goes through the on-disk cache
-    /// (stream out, decode back), which is byte-identical to direct
-    /// generation — the tracestore round-trip tests prove it.
+    /// The trace source of workload `index` (extended-suite order),
+    /// generated on first request; concurrent requesters block until the
+    /// single generation finishes, then share it. Up to
+    /// [`MAX_IN_MEMORY_TRACE_LEN`] it is resident (with a trace directory:
+    /// streamed out and decoded back, byte-identical to direct
+    /// generation); above it, it is the on-disk store.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is out-of-core
-    /// ([`MAX_IN_MEMORY_TRACE_LEN`]): analysis runners need the whole
-    /// trace, so they cannot run at those lengths.
-    pub fn trace(&self, index: usize) -> Arc<Trace> {
-        assert!(
-            !self.out_of_core(),
-            "trace_len {} exceeds the in-memory limit of {MAX_IN_MEMORY_TRACE_LEN} \
-             instructions; only machine sweeps (fig3-1, fig5-1/2/3, bench) can replay \
-             out-of-core",
-            self.cfg.trace_len
-        );
-        Arc::clone(self.slots[index].get_or_init(|| match &self.trace_dir {
-            Some(_) => {
+    /// Panics above the bound without a trace directory, or on I/O
+    /// failure — sweeps have no error channel, and a sweep that cannot
+    /// read its traces cannot do anything else either.
+    pub fn source(&self, index: usize) -> &TraceSource {
+        self.slots[index].get_or_init(|| {
+            if self.cfg.trace_len > MAX_IN_MEMORY_TRACE_LEN {
+                return TraceSource::Stored(Arc::new(self.store(index)));
+            }
+            let trace = if self.trace_dir.is_some() {
                 let store = self.store(index);
-                let trace = store.to_trace().unwrap_or_else(|e| {
+                store.to_trace().unwrap_or_else(|e| {
                     panic!("decoding cached trace store {}: {e}", store.path().display())
-                });
-                Arc::new(trace)
-            }
-            None => {
+                })
+            } else {
                 self.generated.fetch_add(1, Ordering::Relaxed);
-                Arc::new(trace_program(self.workloads[index].program(), self.cfg.trace_len))
-            }
-        }))
+                trace_program(self.workloads[index].program(), self.cfg.trace_len)
+            };
+            TraceSource::Resident(Arc::new(trace))
+        })
+    }
+
+    /// Workload `index`'s store in the trace directory, generated on a
+    /// miss.
+    fn store(&self, index: usize) -> TraceStore {
+        let dir = self.trace_dir.as_ref().unwrap_or_else(|| {
+            panic!(
+                "trace_len {} exceeds the in-memory limit of {MAX_IN_MEMORY_TRACE_LEN} \
+                 instructions; longer runs replay from disk: pass --trace-dir DIR (or set \
+                 FETCHVP_TRACE_DIR)",
+                self.cfg.trace_len
+            )
+        });
+        dir.open_or_create(&self.key(index), |path| {
+            self.generated.fetch_add(1, Ordering::Relaxed);
+            let out = BufWriter::new(File::create(path)?);
+            let program = self.workloads[index].program();
+            let len = self.cfg.trace_len;
+            stream_program_to_store(program, program.name(), len, DEFAULT_CHUNK_LEN, out).map(drop)
+        })
+        .unwrap_or_else(|e| panic!("trace store for `{}`: {e}", self.workloads[index].name()))
+    }
+
+    /// Panics unless this configuration's traces are resident — checked
+    /// by the [`RESIDENT_ONLY`] runners before any generation starts.
+    pub(crate) fn assert_resident(&self) {
+        assert!(
+            self.cfg.trace_len <= MAX_IN_MEMORY_TRACE_LEN,
+            "trace_len {} exceeds the in-memory limit of {MAX_IN_MEMORY_TRACE_LEN} instructions, \
+             and this runner needs whole resident traces ({})",
+            self.cfg.trace_len,
+            RESIDENT_ONLY.join(", ")
+        );
+    }
+
+    /// The resident trace of workload `index` — the same `Arc` the
+    /// sweep's cells walk — for runners that need the whole trace at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics above [`MAX_IN_MEMORY_TRACE_LEN`], before any generation.
+    pub fn trace(&self, index: usize) -> Arc<Trace> {
+        self.assert_resident();
+        Arc::clone(self.source(index).resident().expect("sources within the bound are resident"))
     }
 
     /// How many traces have actually been generated (not merely requested)
@@ -220,6 +212,21 @@ impl TraceCache {
     pub fn generated(&self) -> usize {
         self.generated.load(Ordering::Relaxed)
     }
+}
+
+/// Folds every slot of `workload`'s trace, in order, into `acc` — the
+/// forward walk the analysis runners are written as. Panics on I/O
+/// failure, like every sweep cell.
+pub(crate) fn fold_slots<A>(
+    workload: &Workload,
+    source: &TraceSource,
+    mut acc: A,
+    mut step: impl FnMut(&mut A, Slot<'_>),
+) -> A {
+    source
+        .for_each_slot(|slot| step(&mut acc, slot))
+        .unwrap_or_else(|e| panic!("reading the trace of `{}`: {e}", workload.name()));
+    acc
 }
 
 /// A passive observer of machine-sweep progress, attached to a [`Sweep`]
@@ -240,57 +247,32 @@ pub trait SweepProgress: Send + Sync {
     fn begin(&self, cells: u64, instructions_total: u64);
 
     /// A cell walking `workload` for config chunk `chunk` retired `delta`
-    /// further instructions; out-of-core cells report the on-disk chunk
-    /// they are replaying in `store_chunk` (0 for in-memory cells).
+    /// further instructions; cells replaying an on-disk store report the
+    /// chunk they are in as `store_chunk` (0 for resident traces).
     fn retired(&self, workload: &'static str, chunk: usize, store_chunk: usize, delta: u64);
 
     /// The `(workload, chunk)` cell finished.
     fn cell_done(&self, workload: &'static str, chunk: usize);
 }
 
-/// Per-cell adapter translating the batch kernel's absolute
-/// "instructions retired" ticks into [`SweepProgress::retired`] deltas
-/// (several cells advance concurrently, so the aggregate observer needs
-/// increments, not per-cell absolutes).
+/// Per-cell adapter translating the replay's absolute "instructions
+/// retired" ticks into [`SweepProgress::retired`] deltas (several cells
+/// advance concurrently, so the aggregate observer needs increments, not
+/// per-cell absolutes).
 struct CellProgress<'a> {
     sink: &'a dyn SweepProgress,
     workload: &'static str,
     chunk: usize,
-    store_chunk: AtomicUsize,
     last: AtomicU64,
 }
 
-impl<'a> CellProgress<'a> {
-    fn new(sink: &'a dyn SweepProgress, workload: &'static str, chunk: usize) -> CellProgress<'a> {
-        CellProgress {
-            sink,
-            workload,
-            chunk,
-            store_chunk: AtomicUsize::new(0),
-            last: AtomicU64::new(0),
-        }
-    }
-}
-
-impl ProgressSink for CellProgress<'_> {
-    fn retired(&self, retired: u64) {
+impl ReplayProgress for CellProgress<'_> {
+    fn retired(&self, store_chunk: usize, retired: u64) {
         let prev = self.last.swap(retired, Ordering::Relaxed);
         let delta = retired.saturating_sub(prev);
         if delta > 0 {
-            self.sink.retired(
-                self.workload,
-                self.chunk,
-                self.store_chunk.load(Ordering::Relaxed),
-                delta,
-            );
+            self.sink.retired(self.workload, self.chunk, store_chunk, delta);
         }
-    }
-}
-
-impl ReplayProgress for CellProgress<'_> {
-    fn retired(&self, chunk: usize, instructions_done: u64) {
-        self.store_chunk.store(chunk, Ordering::Relaxed);
-        ProgressSink::retired(self, instructions_done);
     }
 }
 
@@ -318,8 +300,8 @@ impl Sweep {
     }
 
     /// A sweep whose trace cache is backed by a content-addressed trace
-    /// directory (required for out-of-core configurations; optional
-    /// cross-process caching for in-memory ones).
+    /// directory (required above [`MAX_IN_MEMORY_TRACE_LEN`]; optional
+    /// cross-process caching below it).
     pub fn with_trace_dir(
         cfg: &ExperimentConfig,
         trace_dir: Option<Arc<TraceDir>>,
@@ -380,7 +362,7 @@ impl Sweep {
     pub fn cells<P: Sync, R: Send>(
         &self,
         params: &[P],
-        f: impl Fn(&Workload, &Trace, &P) -> R + Sync,
+        f: impl Fn(&Workload, &TraceSource, &P) -> R + Sync,
     ) -> Vec<(&'static str, Vec<R>)> {
         self.cells_on(false, params, f)
     }
@@ -389,7 +371,7 @@ impl Sweep {
     pub fn cells_extended<P: Sync, R: Send>(
         &self,
         params: &[P],
-        f: impl Fn(&Workload, &Trace, &P) -> R + Sync,
+        f: impl Fn(&Workload, &TraceSource, &P) -> R + Sync,
     ) -> Vec<(&'static str, Vec<R>)> {
         self.cells_on(true, params, f)
     }
@@ -398,7 +380,7 @@ impl Sweep {
     /// single implicit parameter).
     pub fn per_workload<R: Send>(
         &self,
-        f: impl Fn(&Workload, &Trace) -> R + Sync,
+        f: impl Fn(&Workload, &TraceSource) -> R + Sync,
     ) -> Vec<(&'static str, R)> {
         self.cells(&[()], |w, t, ()| f(w, t))
             .into_iter()
@@ -409,11 +391,12 @@ impl Sweep {
     /// Runs every machine configuration against every workload of the
     /// 8-benchmark suite with config batching: configurations are split
     /// into [`BATCH_CHUNK`]-sized chunks, each `(workload, chunk)` cell
-    /// walks its trace **once** via [`fetchvp_core::run_batch`], and cells
-    /// parallelize across `--jobs` workers like any other sweep. Returns,
-    /// per workload in suite order, the results in `configs` order —
-    /// byte-identical to serial per-config runs regardless of jobs or
-    /// chunking.
+    /// walks its trace **once** through one [`fetchvp_core::BatchRunner`]
+    /// ([`run_batch_source`]), and cells parallelize across `--jobs`
+    /// workers like any other sweep. Returns, per workload in suite order,
+    /// the results in `configs` order — byte-identical to serial
+    /// per-config runs regardless of jobs, chunking, or whether the traces
+    /// are resident or stored.
     pub fn machines(&self, configs: &[MachineConfig]) -> Vec<(&'static str, Vec<MachineResult>)> {
         self.machines_on(false, configs)
     }
@@ -441,94 +424,40 @@ impl Sweep {
             let cells = (self.cache.workloads(extended).len() * chunks.len()) as u64;
             sink.begin(cells, cells * self.cache.config().trace_len);
         }
-        let per_workload = if self.cache.out_of_core() {
-            // Out-of-core: each cell replays its workload's on-disk store
-            // chunk-by-chunk. `run_batch_store` is byte-identical to
-            // `run_batch`, so the sweep output does not depend on which
-            // path ran.
-            self.cells_stores_on(extended, &chunks, |w, store, &(k, chunk)| {
-                let cell = progress.map(|sink| CellProgress::new(sink, w.name(), k));
-                let results = run_batch_store_with_progress(
-                    store,
-                    chunk,
-                    cell.as_ref().map(|c| c as &dyn ReplayProgress),
-                )
-                .unwrap_or_else(|e| panic!("out-of-core replay of `{}`: {e}", w.name()));
-                if let Some(sink) = progress {
-                    sink.cell_done(w.name(), k);
-                }
-                results
-            })
-        } else {
-            self.cells_on(extended, &chunks, |w, trace, &(k, chunk)| match progress {
-                None => run_batch(trace, chunk),
-                Some(sink) => {
-                    let cell = CellProgress::new(sink, w.name(), k);
-                    let view = trace.view();
-                    let mut runner = BatchRunner::new(chunk);
-                    runner.feed_with_progress(view, 0, view.len(), Some(&cell));
-                    let results = runner.finish();
-                    sink.cell_done(w.name(), k);
-                    results
-                }
-            })
-        };
-        per_workload
-            .into_iter()
-            .map(|(name, per_chunk)| (name, per_chunk.into_iter().flatten().collect()))
-            .collect()
+        self.cells_on(extended, &chunks, |w, source, &(k, chunk)| {
+            let cell = progress.map(|sink| CellProgress {
+                sink,
+                workload: w.name(),
+                chunk: k,
+                last: AtomicU64::new(0),
+            });
+            let results =
+                run_batch_source(source, chunk, cell.as_ref().map(|c| c as &dyn ReplayProgress))
+                    .unwrap_or_else(|e| panic!("replaying the trace of `{}`: {e}", w.name()));
+            if let Some(sink) = progress {
+                sink.cell_done(w.name(), k);
+            }
+            results
+        })
+        .into_iter()
+        .map(|(name, per_chunk)| (name, per_chunk.into_iter().flatten().collect()))
+        .collect()
     }
 
-    /// Runs `f` over every `(workload, parameter)` cell against the
-    /// workloads' on-disk trace stores instead of in-memory traces — the
-    /// out-of-core counterpart of `cells_on`. Requires a trace directory.
-    fn cells_stores_on<P: Sync, R: Send>(
-        &self,
-        extended: bool,
-        params: &[P],
-        f: impl Fn(&Workload, &TraceStore, &P) -> R + Sync,
-    ) -> Vec<(&'static str, Vec<R>)> {
-        let workloads = self.cache.workloads(extended);
-        let np = params.len();
-        assert!(np > 0, "a sweep needs at least one parameter");
-        let flat = self.run_jobs(workloads.len() * np, |cell| {
-            let (w, p) = (cell / np, cell % np);
-            let store = self.cache.store(w);
-            f(&workloads[w], &store, &params[p])
-        });
-        let mut it = flat.into_iter();
-        workloads
-            .iter()
-            .map(|w| (w.name(), (0..np).map(|_| it.next().expect("cell result")).collect()))
-            .collect()
-    }
-
-    /// Runs `f` once per extended-suite workload against its on-disk trace
-    /// store — what the out-of-core bench path uses. Requires a trace
-    /// directory.
-    pub fn per_workload_store_extended<R: Send>(
-        &self,
-        f: impl Fn(&Workload, &TraceStore) -> R + Sync,
-    ) -> Vec<(&'static str, R)> {
-        self.cells_stores_on(true, &[()], |w, s, ()| f(w, s))
-            .into_iter()
-            .map(|(name, mut rs)| (name, rs.pop().expect("one result per workload")))
-            .collect()
-    }
-
+    /// The one cell driver: runs `f` over every `(workload, parameter)`
+    /// cell, handing each the workload's [`TraceSource`].
     fn cells_on<P: Sync, R: Send>(
         &self,
         extended: bool,
         params: &[P],
-        f: impl Fn(&Workload, &Trace, &P) -> R + Sync,
+        f: impl Fn(&Workload, &TraceSource, &P) -> R + Sync,
     ) -> Vec<(&'static str, Vec<R>)> {
         let workloads = self.cache.workloads(extended);
         let np = params.len();
         assert!(np > 0, "a sweep needs at least one parameter");
         let flat = self.run_jobs(workloads.len() * np, |cell| {
             let (w, p) = (cell / np, cell % np);
-            let trace = self.cache.trace(w);
-            f(&workloads[w], &trace, &params[p])
+            f(&workloads[w], self.cache.source(w), &params[p])
         });
         let mut it = flat.into_iter();
         workloads
@@ -647,6 +576,37 @@ mod tests {
             sweep.per_workload(|w, _| w.name().to_string()).into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["go", "m88ksim", "gcc", "compress", "li", "ijpeg", "perl", "vortex"]);
         assert_eq!(sweep.cache().generated(), SUITE_LEN);
+    }
+
+    #[test]
+    fn per_workload_folds_match_on_resident_and_stored_sources() {
+        use fetchvp_tracestore::write_store;
+        use fetchvp_workloads::{by_name, WorkloadParams};
+
+        let workload = by_name("vortex", &WorkloadParams::default()).expect("vortex in suite");
+        let trace = Arc::new(trace_program(workload.program(), 60_000));
+        let folds = |source: &TraceSource| {
+            (
+                crate::did_analysis(&workload, source),
+                crate::table3_1::row(&workload, source),
+                crate::accuracy::predictor_stats(&workload, source),
+                crate::ablations::hint_row(&workload, source),
+            )
+        };
+        let resident = folds(&TraceSource::Resident(Arc::clone(&trace)));
+        let dir = std::env::temp_dir().join(format!("fetchvp-sweep-folds-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        // One-instruction chunks put every slot at a window boundary; one
+        // whole-trace chunk is the resident shape read back from disk.
+        for chunk_len in [1, 1_000, 60_000] {
+            let path = dir.join(format!("vortex-{chunk_len}.fvps"));
+            write_store(&trace, chunk_len, BufWriter::new(File::create(&path).unwrap())).unwrap();
+            let store = TraceStore::open(&path).unwrap();
+            assert_eq!(store.chunks().len(), 60_000usize.div_ceil(chunk_len));
+            let stored = folds(&TraceSource::Stored(Arc::new(store)));
+            assert!(stored == resident, "folds diverge at chunk_len={chunk_len}");
+        }
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
     }
 
     #[test]

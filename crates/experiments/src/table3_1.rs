@@ -1,8 +1,12 @@
 //! Table 3.1 — the SPECint95 benchmark suite, plus measured trace
 //! characteristics of the synthetic stand-ins.
 
+use fetchvp_trace::StatsAccum;
+use fetchvp_tracestore::TraceSource;
+use fetchvp_workloads::Workload;
+
 use crate::report::{num, Table};
-use crate::sweep::Sweep;
+use crate::sweep::{fold_slots, Sweep};
 use crate::ExperimentConfig;
 
 /// Per-benchmark descriptions and trace statistics.
@@ -48,22 +52,23 @@ pub fn run(cfg: &ExperimentConfig) -> Table31Result {
 
 /// Runs the measurement on a [`Sweep`], one job per benchmark.
 pub fn run_with(sweep: &Sweep) -> Table31Result {
-    let rows = sweep.per_workload(|workload, trace| {
-        let s = trace.stats();
-        (
-            workload.description().to_string(),
-            s.total,
-            s.taken_control_rate(),
-            s.value_producing_rate(),
-            s.avg_run_length(),
-        )
-    });
-    Table31Result {
-        rows: rows
-            .into_iter()
-            .map(|(n, (desc, total, taken, vp, run))| (n.to_string(), desc, total, taken, vp, run))
-            .collect(),
-    }
+    Table31Result { rows: sweep.per_workload(row).into_iter().map(|(_, row)| row).collect() }
+}
+
+/// One benchmark's row: trace statistics from one forward walk.
+pub(crate) fn row(
+    workload: &Workload,
+    source: &TraceSource,
+) -> (String, String, u64, f64, f64, f64) {
+    let s = fold_slots(workload, source, StatsAccum::new(), StatsAccum::push).finish();
+    (
+        workload.name().to_string(),
+        workload.description().to_string(),
+        s.total,
+        s.taken_control_rate(),
+        s.value_producing_rate(),
+        s.avg_run_length(),
+    )
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@ use fetchvp_core::{
 use fetchvp_experiments::{ExperimentConfig, Sweep};
 use fetchvp_fetch::{BacConfig, TraceCacheConfig};
 use fetchvp_predictor::{BankedConfig, ConfidenceConfig, StrideKind, TableGeometry};
+use fetchvp_trace::Trace;
+use fetchvp_tracestore::TraceSource;
 
 /// A config set spanning every pipeline variant the kernel batches: ideal
 /// front-ends at two widths, and realistic ones over the conventional,
@@ -50,10 +52,12 @@ fn spanning_configs() -> Vec<MachineConfig> {
 /// batching anywhere in the cell.
 fn serial_metrics(cfg: &ExperimentConfig, configs: &[MachineConfig]) -> Vec<(String, Vec<String>)> {
     Sweep::serial(cfg)
-        .cells_extended(configs, |_, trace, c| match *c {
-            MachineConfig::Ideal(ic) => IdealMachine::new(ic).run(trace).metrics().to_json(),
+        .cells_extended(configs, |_, source, c| match *c {
+            MachineConfig::Ideal(ic) => {
+                IdealMachine::new(ic).run(resident(source)).metrics().to_json()
+            }
             MachineConfig::Realistic(rc) => {
-                RealisticMachine::new(rc).run(trace).metrics().to_json()
+                RealisticMachine::new(rc).run(resident(source)).metrics().to_json()
             }
         })
         .into_iter()
@@ -142,7 +146,13 @@ fn stream_modes() -> Vec<VpConfig> {
     ]
 }
 
-fn serial_run(config: &MachineConfig, trace: &fetchvp_trace::Trace) -> MachineResult {
+/// The whole in-memory trace the serial machines walk (every length in
+/// this file is within the in-memory limit).
+fn resident(source: &TraceSource) -> &Trace {
+    source.resident().expect("resident within the in-memory limit")
+}
+
+fn serial_run(config: &MachineConfig, trace: &Trace) -> MachineResult {
     match *config {
         MachineConfig::Ideal(ic) => IdealMachine::new(ic).run(trace),
         MachineConfig::Realistic(rc) => RealisticMachine::new(rc).run(trace),
@@ -172,7 +182,8 @@ fn shared_value_streams_match_serial_bytes_in_one_spanning_batch() {
     configs.push(MachineConfig::Realistic(banked.with_banked(BankedConfig::default())));
 
     let cfg = ExperimentConfig { trace_len: 6_000, ..ExperimentConfig::default() };
-    let per_workload = Sweep::serial(&cfg).cells_extended(&[()], |w, trace, _| {
+    let per_workload = Sweep::serial(&cfg).cells_extended(&[()], |w, source, _| {
+        let trace = resident(source);
         let batch = run_batch(trace, &configs);
         for (i, (config, batched)) in configs.iter().zip(&batch).enumerate() {
             let serial = serial_run(config, trace).metrics().to_json().to_json();

@@ -119,8 +119,8 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Request>, Request
 /// timeout and capping the body at `max_body` bytes.
 ///
 /// This is the synchronous counterpart of [`try_parse`], used by unit
-/// tests and the non-Unix threaded fallback; the event loop feeds
-/// `try_parse` directly from readiness callbacks.
+/// tests; the event loop feeds `try_parse` directly from readiness
+/// callbacks.
 pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, RequestError> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];

@@ -12,8 +12,7 @@
 //!
 //! Everything is built on `std` only: [`std::net::TcpListener`] driven by
 //! a `poll(2)` readiness event loop (one thread multiplexing every
-//! connection; thread-per-connection remains as the non-Unix fallback), a
-//! hand-rolled HTTP/1.1 subset ([`http`]), a condvar-based bounded MPMC
+//! connection, so the daemon is Unix-only), a hand-rolled HTTP/1.1 subset ([`http`]), a condvar-based bounded MPMC
 //! queue ([`queue`]) and a mutex-guarded job table ([`jobs`]). Several
 //! daemons started with `--peers` form a fleet ([`peers`]): jobs shard
 //! across members by consistent hashing on the spec's canonical hash,
@@ -53,8 +52,10 @@
 
 #![deny(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("fetchvp-server is Unix-only: it is built on poll(2) and signal(2)");
+
 pub mod cache;
-#[cfg(unix)]
 mod eventloop;
 pub mod http;
 pub mod jobs;
@@ -92,9 +93,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; pushes beyond it get `503`.
     pub queue_depth: usize,
-    /// Maximum sockets multiplexed by the event loop at once (handler
-    /// threads on the non-Unix fallback); excess clients wait in the
-    /// kernel's accept backlog.
+    /// Maximum sockets multiplexed by the event loop at once; excess
+    /// clients wait in the kernel's accept backlog.
     pub max_connections: usize,
     /// Per-request socket read timeout.
     pub read_timeout: Duration,
@@ -255,7 +255,6 @@ impl Shared {
     /// response when the hop could not be parked (saturated pool): the
     /// request is completed locally instead — computed without blocking
     /// I/O, and already metered.
-    #[cfg(unix)]
     fn dispatch_proxy(
         &self,
         kind: ProxyKind,
@@ -394,54 +393,8 @@ impl Server {
 }
 
 /// Multiplexes connections until shutdown — the `poll(2)` event loop.
-#[cfg(unix)]
 fn serve_connections(listener: &TcpListener, state: &Arc<Shared>) -> io::Result<()> {
     eventloop::serve(listener, state)
-}
-
-/// Non-Unix fallback: blocking accept + one handler thread per
-/// connection, exactly the pre-event-loop daemon.
-#[cfg(not(unix))]
-fn serve_connections(listener: &TcpListener, state: &Arc<Shared>) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    while !state.should_shutdown() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let active = state.active_connections.load(Ordering::SeqCst);
-                if active >= state.config.max_connections {
-                    state.metrics.counter("server.connections", "rejected", 1);
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
-                    let _ = Response::retry_after(503, error_body("connection limit"), 1)
-                        .write_to(&mut stream);
-                    continue;
-                }
-                state.active_connections.fetch_add(1, Ordering::SeqCst);
-                let state = Arc::clone(state);
-                let _ = std::thread::Builder::new()
-                    .name("fetchvp-conn".to_string())
-                    .spawn(move || {
-                        handle_connection(&state, stream);
-                        state.active_connections.fetch_sub(1, Ordering::SeqCst);
-                    })
-                    .map_err(|_| {
-                        // Spawn failure: undo the reservation; the peer
-                        // times out rather than deadlocking the count.
-                        state.active_connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while state.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    Ok(())
 }
 
 /// Probes every peer on a fixed interval, flipping liveness flags and
@@ -565,7 +518,6 @@ fn finish_request(state: &Shared, request: &Request, response: &Response, starte
 /// complete without blocking I/O come back [`Routed::Ready`], already
 /// metered; proxy hops come back [`Routed::Proxy`] for
 /// [`Shared::dispatch_proxy`].
-#[cfg(unix)]
 fn respond_or_proxy(state: &Shared, request: &Request, started: Instant) -> Routed {
     match route(state, request, false) {
         Routed::Ready(response) => {
@@ -589,10 +541,9 @@ fn respond_or_proxy(state: &Shared, request: &Request, started: Instant) -> Rout
 pub const STREAM_CONTENT_TYPE: &str = "application/x-ndjson";
 
 /// Routes one parsed request to a finished response, running any proxy
-/// hop inline — the blocking entry point used by the threaded fallback
-/// (one thread per connection, so blocking is safe) and unit tests. The
-/// event loop uses [`respond_or_proxy`] + the proxy helper pool instead.
-#[cfg(any(test, not(unix)))]
+/// hop inline — the blocking entry point of the unit tests. The event
+/// loop uses [`respond_or_proxy`] + the proxy helper pool instead.
+#[cfg(test)]
 fn respond(state: &Shared, request: &Request, started: Instant) -> Response {
     let response = match route(state, request, false) {
         Routed::Ready(response) => response,
@@ -723,33 +674,6 @@ fn route_local(state: &Shared, request: &Request) -> Response {
             unreachable!("local-only routing cannot proxy")
         }
     }
-}
-
-/// Reads one request, routes it, writes the response, records metrics —
-/// the threaded fallback's per-connection handler.
-#[cfg(not(unix))]
-fn handle_connection(state: &Shared, mut stream: TcpStream) {
-    use http::{read_request, RequestError};
-    let _ = stream.set_read_timeout(Some(state.config.read_timeout));
-    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
-    let started = Instant::now();
-    let response = match read_request(&mut stream, state.config.max_body_bytes) {
-        Ok(request) => respond(state, &request, started),
-        Err(RequestError::Io(_)) => {
-            state.metrics.counter("server.requests", "io_error", 1);
-            return; // nothing sane to answer on a dead socket
-        }
-        Err(RequestError::TooLarge(what)) => {
-            state.metrics.counter("server.requests", "too_large.413", 1);
-            Response::json(413, error_body(&format!("{what} too large")))
-        }
-        Err(RequestError::Malformed(why)) => {
-            state.metrics.counter("server.requests", "malformed.400", 1);
-            Response::json(400, error_body(why))
-        }
-    };
-    let _ = response.write_to(&mut stream);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 /// The metric label for a request path (`/jobs/7` → `jobs`,
@@ -1173,7 +1097,6 @@ fn job_events(state: &Shared, request: &Request, path: &str, local_only: bool) -
 /// `std` itself links libc, so declaring `signal(2)` directly keeps the
 /// daemon zero-dependency. The handler only stores to an atomic —
 /// async-signal-safe — and the accept loop polls the flag every 10 ms.
-#[cfg(unix)]
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1200,16 +1123,6 @@ mod signals {
     /// Whether a termination signal has arrived.
     pub fn terminated() -> bool {
         TERMINATED.load(Ordering::SeqCst)
-    }
-}
-
-/// Non-Unix fallback: no signal handling; `POST /shutdown` still works.
-#[cfg(not(unix))]
-mod signals {
-    pub fn install() {}
-
-    pub fn terminated() -> bool {
-        false
     }
 }
 
@@ -1463,11 +1376,16 @@ mod tests {
             Shared { sweeps: SweepPool::new(Some(Arc::new(TraceDir::new(&dir)))), ..test_state(4) };
         assert_eq!(post(&state, "/run", big_spec).status, 202);
 
-        // Analysis experiments stay memory-bound even with the directory.
+        // So are analysis experiments, which walk the stores too.
         let analysis = r#"{"experiment": "fig3-3", "trace_len": 50000000}"#;
-        let rejected = post(&state, "/run", analysis);
+        assert_eq!(post(&state, "/run", analysis).status, 202);
+
+        // The event-machine oracle stays memory-bound even with the
+        // directory.
+        let oracle = r#"{"experiment": "breakdown", "trace_len": 50000000}"#;
+        let rejected = post(&state, "/run", oracle);
         assert_eq!(rejected.status, 400);
-        assert!(rejected.body.contains("cannot replay out-of-core"), "{}", rejected.body);
+        assert!(rejected.body.contains("whole resident traces"), "{}", rejected.body);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   validating that the synthetic workloads resemble their SPECint95
 //!   counterparts.
 //! * [`BasicBlocks`] — static basic-block discovery used by the trace cache.
-//! * [`write_trace`] / [`read_trace`] — the Shade-style trace-file workflow:
-//!   capture once, simulate many times.
+//!
+//! Traces go to disk as chunked stores (`fetchvp-tracestore`), which
+//! encode static instructions with the [`io`] codec.
 //!
 //! # Example
 //!
@@ -59,7 +60,6 @@ pub mod stats;
 pub use bb::{BasicBlocks, BlockId};
 pub use columns::{PreparedInstr, Slot, TraceColumns, TraceView, NO_REG};
 pub use exec::{ExecOutcome, Executor};
-pub use io::{read_trace, read_trace_sized, write_trace};
 pub use memory::SparseMemory;
 pub use record::DynInstr;
 pub use stats::{StatsAccum, TraceStats};

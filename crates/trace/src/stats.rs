@@ -4,7 +4,7 @@ use std::fmt;
 
 use fetchvp_metrics::{FxHashSet, MetricsSink, Registry};
 
-use crate::columns::TraceView;
+use crate::columns::{Slot, TraceView};
 use crate::record::DynInstr;
 
 /// Instruction-mix and control-flow statistics for a dynamic trace.
@@ -58,7 +58,7 @@ impl TraceStats {
     /// Computes statistics over a columnar trace view (zero-copy).
     pub fn from_view(view: TraceView<'_>) -> TraceStats {
         let mut accum = StatsAccum::new();
-        accum.push_view(view);
+        view.slots().for_each(|slot| accum.push(slot));
         accum.finish()
     }
 
@@ -115,34 +115,33 @@ impl StatsAccum {
         StatsAccum::default()
     }
 
-    /// Folds every slot of `view` into the running statistics.
-    pub fn push_view(&mut self, view: TraceView<'_>) {
+    /// Folds one slot into the running statistics.
+    #[inline]
+    pub fn push(&mut self, r: Slot<'_>) {
         let s = &mut self.stats;
-        for r in view.slots() {
-            s.total += 1;
-            self.pcs.insert(r.pc());
-            if r.is_mem() {
-                if r.produces_value() {
-                    s.loads += 1;
-                } else {
-                    s.stores += 1;
-                }
-            }
-            if r.is_control() {
-                s.control += 1;
-                if r.taken() {
-                    s.taken_control += 1;
-                }
-                if r.is_cond_branch() {
-                    s.cond_branches += 1;
-                    if r.taken() {
-                        s.taken_cond_branches += 1;
-                    }
-                }
-            }
+        s.total += 1;
+        self.pcs.insert(r.pc());
+        if r.is_mem() {
             if r.produces_value() {
-                s.value_producing += 1;
+                s.loads += 1;
+            } else {
+                s.stores += 1;
             }
+        }
+        if r.is_control() {
+            s.control += 1;
+            if r.taken() {
+                s.taken_control += 1;
+            }
+            if r.is_cond_branch() {
+                s.cond_branches += 1;
+                if r.taken() {
+                    s.taken_cond_branches += 1;
+                }
+            }
+        }
+        if r.produces_value() {
+            s.value_producing += 1;
         }
     }
 
@@ -264,8 +263,7 @@ mod tests {
             let mut start = 0;
             while start < t.len() {
                 let end = (start + window).min(t.len());
-                let chunk = t.columns().slice(start..end);
-                accum.push_view(chunk.view());
+                t.view().slots_in(start..end).for_each(|slot| accum.push(slot));
                 start = end;
             }
             assert_eq!(accum.finish(), whole, "window {window}");

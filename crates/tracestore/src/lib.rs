@@ -18,11 +18,11 @@
 //!    executor loop of `fetchvp_trace::trace_program` writing chunks to
 //!    disk as it goes, so a 100M-instruction trace occupies one chunk of
 //!    heap at a time.
-//! 3. **Chunked replay** ([`run_batch_store`]): decodes one chunk (plus a
-//!    fetch-lookahead window) at a time into a reusable re-based buffer
-//!    and feeds it to [`fetchvp_core::BatchRunner`] — every existing
-//!    machine model runs out-of-core unchanged, with results
-//!    byte-identical to the in-memory path.
+//! 3. **One replay path** ([`TraceSource`]): a resident trace is one
+//!    window, a store one chunk (plus a fetch-lookahead tail) at a time in
+//!    a reusable re-based buffer; [`run_batch_source`] feeds the windows
+//!    to [`fetchvp_core::BatchRunner`], byte-identical to the in-memory
+//!    path, and analyses fold over their slots.
 //!
 //! On top sits a **content-addressed trace cache** ([`TraceDir`]): traces
 //! keyed by a canonical hash of (workload, knobs, seed, trace length,
@@ -115,6 +115,7 @@ pub use cache::{CacheCounters, TraceDir, TraceKey};
 pub use format::{fnv1a, ChunkMeta, DEFAULT_CHUNK_LEN, FORMAT_VERSION, MAGIC};
 pub use reader::{ChunkCursor, TraceStore};
 pub use replay::{
-    run_batch_store, run_batch_store_with_progress, stream_store_stats, ReplayProgress,
+    run_batch_source, run_batch_store, run_batch_store_with_progress, stream_store_stats,
+    ReplayProgress, TraceSource,
 };
 pub use writer::{stream_program_to_store, write_store, StoreSummary, StoreWriter};

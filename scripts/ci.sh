@@ -49,7 +49,8 @@ cargo test $OFFLINE -q -p fetchvp-server --lib http::
 # smoke through the content-addressed trace cache — generation streams to
 # disk, the machine sweep replays chunk-by-chunk, and the pre-generated
 # trace is reused (the `trace-gen` line prints `already cached` when the
-# sweep finds it warm).
+# sweep finds it warm). The analysis runners (fig3-3's DID walk and
+# table3-1's statistics) then walk the same stores the sweep generated.
 echo "== tracestore tests"
 cargo test $OFFLINE -q -p fetchvp-tracestore
 
@@ -60,6 +61,10 @@ cargo run $OFFLINE --release -p fetchvp-cli -- trace-gen m88ksim \
 cargo run $OFFLINE --release -p fetchvp-cli -- trace-info "$TRACE_DIR"/m88ksim-*.fvps
 cargo run $OFFLINE --release -p fetchvp-cli -- usefulness \
     --trace-len 20000000 --trace-dir "$TRACE_DIR" --csv >/dev/null
+for experiment in fig3-3 table3-1; do
+    cargo run $OFFLINE --release -p fetchvp-cli -- "$experiment" \
+        --trace-len 20000000 --trace-dir "$TRACE_DIR" --csv >/dev/null
+done
 
 # The flagship streaming e2e: the same 20M out-of-core sweep served over
 # HTTP with a live `GET /jobs/<id>/events` follower — monotone progress,

@@ -1,14 +1,17 @@
 //! Disk-backed sweeps must be invisible in the results: a figure run
 //! through the content-addressed trace cache is byte-identical to the
 //! in-memory run, a warm cache regenerates nothing, and crossing the
-//! in-memory trace-length boundary without the disk path is an explicit
-//! panic, not an OOM.
+//! in-memory trace-length bound without a trace directory — or with a
+//! runner that needs whole resident traces — is an explicit panic, not an
+//! OOM.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use fetchvp_experiments::{bench, fig3_1, ExperimentConfig, Sweep, MAX_IN_MEMORY_TRACE_LEN};
-use fetchvp_tracestore::{stream_store_stats, TraceDir};
+use fetchvp_experiments::{
+    bench, breakdown, fig3_1, fig3_3, ExperimentConfig, Sweep, MAX_IN_MEMORY_TRACE_LEN,
+};
+use fetchvp_tracestore::{stream_store_stats, TraceDir, TraceStore};
 
 /// A unique scratch directory under the system temp dir.
 fn scratch(tag: &str) -> PathBuf {
@@ -55,22 +58,24 @@ fn disk_backed_sweeps_match_in_memory_results_and_stay_warm() {
 fn per_workload_stores_cover_the_full_trace() {
     let cfg = small_config();
     let root = scratch("stores");
-    let sweep = Sweep::with_trace_dir(&cfg, Some(Arc::new(TraceDir::new(&root))), 1);
-    let stats = sweep.per_workload_store_extended(|workload, store| {
-        assert_eq!(store.name(), workload.name());
-        assert_eq!(store.len(), cfg.trace_len);
-        stream_store_stats(store).expect("streamed stats")
+    let dir = Arc::new(TraceDir::new(&root));
+    let sweep = Sweep::with_trace_dir(&cfg, Some(Arc::clone(&dir)), 1);
+    // The one cell driver hands every cell its workload's source; with a
+    // trace directory, each is generated through the workload's store.
+    let resident = sweep.cells_extended(&[()], |workload, source, ()| {
+        assert_eq!(source.len(), cfg.trace_len);
+        let trace = source.resident().expect("sources within the bound are resident");
+        assert_eq!(trace.name(), workload.name());
+        trace.stats()
     });
-    // The streamed per-chunk stats equal the stats of the materialized
-    // trace (which itself decodes from the same store here).
-    for (name, streamed) in stats {
-        let index = sweep
-            .cache()
-            .workloads(true)
-            .iter()
-            .position(|w| w.name() == name)
-            .expect("store name is a suite workload");
-        assert_eq!(streamed, sweep.cache().trace(index).stats(), "{name}");
+    assert_eq!(resident.len(), sweep.cache().workloads(true).len());
+    for (index, (name, stats)) in resident.into_iter().enumerate() {
+        let store = TraceStore::open(dir.path_for(&sweep.cache().key(index))).expect("stored");
+        assert_eq!(store.name(), name);
+        assert_eq!(store.len(), cfg.trace_len);
+        // Stats streamed from the store equal those of the trace the
+        // cell walked.
+        assert_eq!(stream_store_stats(&store).expect("streamed stats"), stats[0], "{name}");
     }
     std::fs::remove_dir_all(&root).expect("remove scratch dir");
 }
@@ -108,9 +113,21 @@ fn materializing_an_out_of_core_trace_panics_with_the_limit() {
 }
 
 #[test]
+#[should_panic(expected = "limit of 8000000 instructions, and this runner needs whole resident")]
+fn resident_only_runner_over_the_bound_fails_naming_the_bound() {
+    let cfg =
+        ExperimentConfig { trace_len: MAX_IN_MEMORY_TRACE_LEN + 1, ..ExperimentConfig::default() };
+    // Even with a trace directory: the event-machine oracle needs whole
+    // traces in memory. The check fires before any generation, so this
+    // is instant and leaves the directory uncreated.
+    let dir = Arc::new(TraceDir::new(scratch("resident-only")));
+    breakdown::run_with(&Sweep::with_trace_dir(&cfg, Some(dir), 1));
+}
+
+#[test]
 #[should_panic(expected = "--trace-dir")]
 fn out_of_core_replay_without_a_trace_dir_panics_with_the_fix() {
     let cfg =
         ExperimentConfig { trace_len: MAX_IN_MEMORY_TRACE_LEN + 1, ..ExperimentConfig::default() };
-    Sweep::with_jobs(&cfg, 1).cache().store(0);
+    fig3_3::run_with(&Sweep::with_jobs(&cfg, 1));
 }

@@ -1,11 +1,15 @@
 //! Cross-crate property tests: randomized programs and schedules must
 //! uphold the architectural invariants of every layer.
 
+use std::fs::File;
+use std::io::BufWriter;
+
 use fetchvp_core::sched::{Scheduler, VpDisposition};
 use fetchvp_core::{IdealConfig, IdealMachine, VpConfig};
 use fetchvp_isa::{AluOp, Cond, Instr, Program, ProgramBuilder, Reg};
 use fetchvp_testutil::{for_cases, Rng};
-use fetchvp_trace::{read_trace, trace_program, write_trace, BasicBlocks, Trace};
+use fetchvp_trace::{trace_program, BasicBlocks, Trace};
+use fetchvp_tracestore::{StoreWriter, TraceStore};
 
 /// A random straight-line program over a handful of registers, closed with
 /// a counted loop so it produces a trace of meaningful length.
@@ -53,17 +57,28 @@ fn traces_are_well_formed() {
     });
 }
 
-/// Trace serialization round-trips bit-exactly.
+/// Trace serialization (a chunked store) round-trips bit-exactly at any
+/// chunk size.
 #[test]
 fn trace_io_round_trips() {
+    let dir = std::env::temp_dir().join(format!("fetchvp-properties-io-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
     for_cases(48, |case, rng| {
         let program = random_program(rng);
         let t = trace_program(&program, 1_000);
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).expect("write to memory");
-        let loaded = read_trace(buf.as_slice()).expect("read back");
-        assert_eq!(t, loaded, "case {case}");
+        for chunk_len in [1, 97, t.len()] {
+            let path = dir.join(format!("case-{case}-{chunk_len}.fvps"));
+            let out = BufWriter::new(File::create(&path).expect("create store"));
+            let mut w = StoreWriter::new(out, t.name(), chunk_len as u64).expect("header");
+            for start in (0..t.len()).step_by(chunk_len) {
+                w.write_chunk(t.view(), start..(start + chunk_len).min(t.len())).expect("chunk");
+            }
+            w.finish(t.outcome(), t.columns().instr_table()).expect("footer");
+            let loaded = TraceStore::open(&path).and_then(|s| s.to_trace()).expect("read back");
+            assert_eq!(t, loaded, "case {case}, chunk_len {chunk_len}");
+        }
     });
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
 /// Basic blocks tile the program and each holds at most one control

@@ -8,15 +8,8 @@
 use fetchvp_core::{MachineConfig, MachineResult};
 use fetchvp_experiments::fuzz::{self, BatchRunner, CaseRunner, CaseSpec, FuzzOptions};
 use fetchvp_testutil::for_cases;
-use fetchvp_trace::{trace_program, write_trace, Trace};
+use fetchvp_trace::{trace_program, Trace};
 use fetchvp_workloads::{extended_suite, FamilyPoint, WorkloadParams};
-
-/// The trace's on-disk byte surface — the identity the figures depend on.
-fn trace_bytes(trace: &Trace) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    write_trace(trace, &mut bytes).expect("write to Vec cannot fail");
-    bytes
-}
 
 const LEGACY_LEN: u64 = 20_000;
 
@@ -28,12 +21,7 @@ fn every_legacy_workload_is_an_exact_family_point() {
             .unwrap_or_else(|| panic!("{}: no family for legacy workload", w.name()));
         let legacy = trace_program(w.program(), LEGACY_LEN);
         let family = trace_program(&point.program(), LEGACY_LEN);
-        assert_eq!(
-            trace_bytes(&legacy),
-            trace_bytes(&family),
-            "{}: family origin drifted from the legacy workload",
-            w.name()
-        );
+        assert_eq!(legacy, family, "{}: family origin drifted from the legacy workload", w.name());
     }
 }
 
@@ -52,11 +40,7 @@ fn knob_coordinates_move_the_trace() {
         let origin =
             trace_program(&FamilyPoint::legacy(name).expect("legacy point").program(), 6_000);
         let moved = trace_program(&point.program(), 6_000);
-        assert_ne!(
-            trace_bytes(&origin),
-            trace_bytes(&moved),
-            "case {case}: {name}: non-origin knobs left the trace unchanged"
-        );
+        assert_ne!(origin, moved, "case {case}: {name}: non-origin knobs left the trace unchanged");
     });
 }
 
