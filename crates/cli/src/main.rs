@@ -3,35 +3,11 @@
 //! ```text
 //! fetchvp <experiment> [--trace-len N] [--seed S] [--jobs N] [--csv] [--chart]
 //!
-//! experiments:
-//!   table3-1   benchmark suite and trace characteristics
-//!   accuracy   per-benchmark predictor coverage/accuracy
-//!   breakdown  retire-slot attribution (event machine)
-//!   fig3-1     ideal-machine VP speedup vs fetch rate
-//!   table3-2   pipeline walk-through of the Figure 3.2 example
-//!   fig3-3     average dynamic instruction distance
-//!   fig3-4     DID distribution histograms
-//!   fig3-5     predictability x DID distribution
-//!   fig5-1     realistic machine, ideal BTB, taken-branch sweep
-//!   fig5-2     realistic machine, 2-level BTB, taken-branch sweep
-//!   fig5-3     realistic machine with trace cache
-//!   usefulness correct predictions useful vs useless, fetch-4 vs fetch-40
-//!   all        everything above, in paper order
-//!
-//! ablations (beyond the paper):
-//!   ablation-banks        prediction-table bank sweep
-//!   ablation-window       instruction-window sweep
-//!   ablation-confidence   classification-threshold sweep
-//!   ablation-predictors   last-value / stride / 2-delta / hybrid
-//!   ablation-partial      trace-cache partial matching
-//!   ablation-btb          branch-predictor quality sweep
-//!   ablation-fetch        fetch-mechanism comparison (conventional/BAC/TC)
-//!   ablation-penalty      branch/value misprediction penalty grid
-//!   ablation-tc           trace-cache geometry sweep
-//!   ablation-hints        dynamic vs profiling-based hybrid classification
-//!   ablation-model        relaxing the ideal-model assumptions
-//!   ablation-seeds        seed stability of the Figure 3.1 averages
-//!   ablations             all of the above
+//! experiments: every entry of `fetchvp_experiments::registry` — the
+//! paper's tables and figures, three extra analyses and twelve ablations
+//! (the usage text lists their names); `all` runs the paper's results in
+//! paper order and `ablations` every ablation. `--chart` draws the figures
+//! that have a bar chart.
 //!
 //! trace files (the Shade workflow):
 //!   save-trace <benchmark> <file>   capture a trace to disk (chunked FVPS format,
@@ -46,8 +22,9 @@
 //! out-of-core runs: every experiment accepts --trace-dir DIR (default
 //! $FETCHVP_TRACE_DIR); above 8M instructions a run needs it, and every
 //! figure, table and ablation then walks its traces from disk chunk by
-//! chunk, up to 100M (breakdown, trace-viz, atlas, run-asm, profile stay
-//! within 8M: they need whole traces in memory).
+//! chunk, up to 100M (the commands that need whole traces in memory —
+//! the registry's resident entries, trace-viz, atlas, run-asm — stay
+//! within 8M).
 //!
 //! observability:
 //!   trace-viz <workload> [--cycles A..B] [--out FILE]
@@ -60,8 +37,6 @@
 //!                                   write BENCH_<date>.json
 //!   bench-compare <old> <new> [--threshold PCT]
 //!                                   diff two reports, exit nonzero on regression
-//!   profile                         per-phase wall-time breakdown
-//!                                   (trace generation / fetch / predict / schedule)
 //!
 //! serving (simulation as a service):
 //!   serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
@@ -95,7 +70,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 use std::sync::Arc;
@@ -103,9 +78,9 @@ use std::sync::Arc;
 mod top;
 
 use fetchvp_core::{IdealConfig, IdealMachine, VpConfig};
+use fetchvp_experiments::registry::{self, Experiment, Group};
 use fetchvp_experiments::{
-    ablations, atlas, bench, default_jobs, fig3_1, fig3_3, fig3_4, fig3_5, fig5_1, fig5_2, fig5_3,
-    fuzz, jobspec, table3_1, table3_2, ExperimentConfig, Sweep, Table, MAX_IN_MEMORY_TRACE_LEN,
+    atlas, bench, default_jobs, fuzz, jobspec, ExperimentConfig, Sweep, MAX_IN_MEMORY_TRACE_LEN,
 };
 use fetchvp_isa::parse_program;
 use fetchvp_metrics::Json;
@@ -115,58 +90,65 @@ use fetchvp_tracestore::{
 };
 use fetchvp_workloads::{by_name, WorkloadParams};
 
-const USAGE: &str =
-    "usage: fetchvp <experiment> [--trace-len N] [--seed S] [--jobs N] [--csv] [--chart]
+/// The usage text. Experiment names come from the registry; the
+/// resident-only list names its resident entries and the CLI's own
+/// whole-trace commands.
+fn usage() -> String {
+    let names = |groups: &[Group]| {
+        let entries = registry::ENTRIES.iter().filter(|e| groups.contains(&e.group));
+        wrapped(entries.map(|e| e.name).chain(groups.iter().filter_map(|g| g.command())))
+    };
+    let resident = registry::ENTRIES.iter().filter(|e| e.resident).map(|e| e.name).chain(
+        COMMANDS.iter().copied().filter(|&c| command_spec(c).is_some_and(|spec| spec.resident)),
+    );
+    format!(
+        "usage: fetchvp <experiment> [--trace-len N] [--seed S] [--jobs N] [--csv] [--chart]
                    [--trace-dir DIR]
-experiments: table3-1 fig3-1 table3-2 fig3-3 fig3-4 fig3-5 fig5-1 fig5-2
-             fig5-3 accuracy breakdown usefulness all
-ablations:   ablation-banks ablation-window ablation-confidence \
-             ablation-predictors ablation-partial ablation-btb \
-             ablation-fetch ablation-penalty ablation-tc ablation-hints
-             ablation-model ablation-seeds ablations
+experiments: {}
+ablations:   {}
 trace files: save-trace <benchmark> <file> / trace-gen <benchmark> \
              [--trace-dir DIR | --out FILE] / trace-info <file> / run-asm <file.s>
 out-of-core: --trace-dir DIR (or $FETCHVP_TRACE_DIR) walks traces over 8M instructions
-             from disk, up to 100M (not breakdown trace-viz atlas run-asm profile)
+             from disk, up to 100M (not {})
 tracing:     trace-viz <workload> [--cycles A..B] [--out FILE]
 benchmarks:  bench [--quick] [--repeat N] [--out FILE] / bench-compare \
-             <old.json> <new.json> [--threshold PCT] / profile
+             <old.json> <new.json> [--threshold PCT]
 serving:     serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--trace-dir DIR]
              [--result-cache N] [--peers HOST:PORT,...] / loadgen \
              [--addr HOST:PORT,...] [--rps N] [--duration SECONDS] [--spec-mix FILE]
              top [--addr HOST:PORT] [--interval SECONDS] [--count N]
 fuzzing:     fuzz [--cases N] [--seed S] [--max-len N] [--replay TUPLE] [--out FILE]
              atlas [family] [--trace-len N]
-other:       --version";
+other:       --version",
+        names(&[Group::Paper, Group::Extra]),
+        names(&[Group::Ablation]),
+        wrapped(resident)
+    )
+}
 
-/// Every subcommand, for `did you mean …` suggestions on typos.
+/// `words` joined by spaces, wrapped before column 80 with continuation
+/// lines indented to the usage text's 13-column labels.
+fn wrapped<'a>(words: impl IntoIterator<Item = &'a str>) -> String {
+    const INDENT: usize = 13;
+    let (mut out, mut column) = (String::new(), INDENT);
+    for word in words {
+        if column > INDENT && column + 1 + word.len() >= 80 {
+            out.push('\n');
+            out.push_str(&" ".repeat(INDENT));
+            column = INDENT;
+        } else if column > INDENT {
+            out.push(' ');
+            column += 1;
+        }
+        out.push_str(word);
+        column += word.len();
+    }
+    out
+}
+
+/// Every subcommand besides the registry's experiments and group commands,
+/// for `did you mean …` suggestions on typos.
 const COMMANDS: &[&str] = &[
-    "table3-1",
-    "accuracy",
-    "breakdown",
-    "fig3-1",
-    "table3-2",
-    "fig3-3",
-    "fig3-4",
-    "fig3-5",
-    "fig5-1",
-    "fig5-2",
-    "fig5-3",
-    "all",
-    "ablation-banks",
-    "ablation-window",
-    "ablation-confidence",
-    "ablation-predictors",
-    "ablation-partial",
-    "ablation-btb",
-    "ablation-fetch",
-    "ablation-penalty",
-    "ablation-tc",
-    "ablation-hints",
-    "ablation-model",
-    "ablation-seeds",
-    "ablations",
-    "usefulness",
     "save-trace",
     "trace-gen",
     "trace-info",
@@ -174,7 +156,6 @@ const COMMANDS: &[&str] = &[
     "trace-viz",
     "bench",
     "bench-compare",
-    "profile",
     "serve",
     "loadgen",
     "top",
@@ -210,32 +191,38 @@ const KNOWN_FLAGS: &[&str] = &[
     "--count",
 ];
 
-/// Flags shared by every figure/table/ablation experiment runner.
-const EXPERIMENT_FLAGS: &[&str] =
+/// Flags shared by every figure/table/ablation experiment command.
+const EXPERIMENT_FLAGS: &[&str] = &["--trace-len", "--seed", "--jobs", "--csv", "--trace-dir"];
+
+/// [`EXPERIMENT_FLAGS`] plus `--chart`, for commands that draw a chart.
+const CHART_FLAGS: &[&str] =
     &["--trace-len", "--seed", "--jobs", "--csv", "--chart", "--trace-dir"];
 
 /// What one subcommand accepts: its flags and its positional-argument cap.
 struct CommandSpec {
     flags: &'static [&'static str],
     positionals: usize,
+    /// Needs whole traces in memory, so never runs beyond the in-memory
+    /// bound, even with a trace directory.
+    resident: bool,
 }
 
 /// The accepted surface of each known subcommand. `None` for unknown
 /// subcommands (those take the did-you-mean path in [`run_one`]).
 fn command_spec(name: &str) -> Option<CommandSpec> {
-    let spec = |flags, positionals| Some(CommandSpec { flags, positionals });
+    let spec = |flags, positionals| Some(CommandSpec { flags, positionals, resident: false });
+    let resident = |flags, positionals| Some(CommandSpec { flags, positionals, resident: true });
     match name {
         "save-trace" => spec(&["--trace-len", "--seed"], 2),
         "trace-gen" => spec(&["--trace-len", "--seed", "--trace-dir", "--out"], 1),
         "trace-info" => spec(&[], 1),
-        "run-asm" => spec(&["--trace-len", "--seed"], 1),
-        "trace-viz" => spec(&["--trace-len", "--seed", "--jobs", "--cycles", "--out"], 1),
+        "run-asm" => resident(&["--trace-len", "--seed"], 1),
+        "trace-viz" => resident(&["--trace-len", "--seed", "--jobs", "--cycles", "--out"], 1),
         "bench" => spec(
             &["--trace-len", "--seed", "--jobs", "--quick", "--repeat", "--out", "--trace-dir"],
             0,
         ),
         "bench-compare" => spec(&["--threshold"], 2),
-        "profile" => spec(&["--trace-len", "--seed", "--csv"], 0),
         "serve" => spec(
             &["--addr", "--workers", "--queue-depth", "--trace-dir", "--result-cache", "--peers"],
             0,
@@ -243,9 +230,16 @@ fn command_spec(name: &str) -> Option<CommandSpec> {
         "loadgen" => spec(&["--addr", "--rps", "--duration", "--spec-mix", "--out"], 0),
         "top" => spec(&["--addr", "--interval", "--count"], 0),
         "fuzz" => spec(&["--cases", "--seed", "--max-len", "--replay", "--out"], 0),
-        "atlas" => spec(&["--trace-len", "--seed", "--csv"], 1),
-        name if COMMANDS.contains(&name) => spec(EXPERIMENT_FLAGS, 0),
-        _ => None,
+        "atlas" => resident(&["--trace-len", "--seed", "--csv"], 1),
+        name => {
+            // A registry experiment or group: `--chart` only where some
+            // member draws one.
+            let entries = registry::select(name);
+            let charts = entries.iter().any(|e| e.chart.is_some());
+            let flags = if charts { CHART_FLAGS } else { EXPERIMENT_FLAGS };
+            let resident = entries.iter().any(|e| e.resident);
+            (!entries.is_empty()).then_some(CommandSpec { flags, positionals: 0, resident })
+        }
     }
 }
 
@@ -294,14 +288,14 @@ fn validate_scale(opts: &Options) -> Result<(), String> {
     }
     // save-trace and trace-gen stream straight to disk at any size.
     let streams = matches!(opts.experiment.as_str(), "save-trace" | "trace-gen");
-    let replays =
-        opts.resolved_trace_dir().is_some() && !jobspec::needs_resident_trace(&opts.experiment);
+    let resident = command_spec(&opts.experiment).is_some_and(|spec| spec.resident);
+    let replays = opts.resolved_trace_dir().is_some() && !resident;
     if n <= MAX_IN_MEMORY_TRACE_LEN || streams || replays {
         return Ok(());
     }
     Err(format!(
         "--trace-len {n} {}",
-        jobspec::over_bound_reason(&opts.experiment, MAX_IN_MEMORY_TRACE_LEN)
+        jobspec::over_bound_reason(&opts.experiment, resident, MAX_IN_MEMORY_TRACE_LEN)
     ))
 }
 
@@ -324,9 +318,13 @@ fn edit_distance(a: &str, b: &str) -> usize {
 
 /// The closest known subcommand within 3 edits, if any.
 fn nearest_command(name: &str) -> Option<&'static str> {
+    let groups = [Group::Paper, Group::Extra, Group::Ablation].map(Group::command);
+    let experiments = registry::ENTRIES.iter().map(|e| e.name).chain(groups.into_iter().flatten());
     COMMANDS
         .iter()
-        .map(|&cmd| (edit_distance(name, cmd), cmd))
+        .copied()
+        .chain(experiments)
+        .map(|cmd| (edit_distance(name, cmd), cmd))
         .min()
         .filter(|&(distance, _)| distance <= 3)
         .map(|(_, cmd)| cmd)
@@ -615,11 +613,31 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     })
 }
 
-fn emit(table: &Table, csv: bool) {
-    if csv {
-        print!("{}", table.to_csv());
-    } else {
-        println!("{table}");
+/// Runs `entries` in order, writing each one's rendering to `out` as soon
+/// as it is computed. A reader that hangs up early (`all --csv | head -1`)
+/// is not an error: the remaining experiments are skipped and the command
+/// succeeds.
+fn write_experiments(
+    entries: &[&Experiment],
+    sweep: &Sweep,
+    opts: &Options,
+    out: &mut impl Write,
+) -> Result<(), String> {
+    for entry in entries {
+        if !write_output(out, &entry.render(sweep, opts.chart, opts.csv))? {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Writes `text` to `out`; `Ok(false)` means the reader has gone away (a
+/// broken pipe), so the caller should stop producing output.
+fn write_output(out: &mut impl Write, text: &str) -> Result<bool, String> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("cannot write output: {e}")),
     }
 }
 
@@ -959,90 +977,38 @@ fn run_atlas(opts: &Options) -> Result<(), String> {
     } else {
         ExperimentConfig::quick().trace_len
     };
-    emit(&atlas::run(family, trace_len)?.to_table(), opts.csv);
-    Ok(())
+    let table = atlas::run(family, trace_len)?.to_table();
+    let text = if opts.csv { table.to_csv() } else { format!("{table}\n") };
+    write_output(&mut std::io::stdout().lock(), &text).map(drop)
 }
 
 fn run_one(name: &str, sweep: &Sweep, opts: &Options) -> Result<(), String> {
     let cfg = sweep.config();
-    let (csv, chart, positionals) = (opts.csv, opts.chart, opts.positionals.as_slice());
-    #[allow(clippy::match_like_matches_macro)]
+    let positionals = opts.positionals.as_slice();
     match name {
-        "save-trace" => return save_trace(cfg, positionals),
-        "trace-gen" => return trace_gen(cfg, opts),
-        "trace-info" => return trace_info(positionals),
-        "run-asm" => return run_asm(cfg, positionals),
-        "bench" => return run_bench(sweep, opts),
-        "bench-compare" => return run_bench_compare(opts),
-        "trace-viz" => return run_trace_viz(sweep, opts),
-        "usefulness" => emit(&fetchvp_experiments::usefulness::run_with(sweep).to_table(), csv),
-        "profile" => emit(&fetchvp_experiments::profile::run(cfg).to_table(), csv),
-        "serve" => return run_serve(opts),
-        "loadgen" => return run_loadgen(opts),
-        "top" => return run_top(opts),
-        "fuzz" => return run_fuzz(opts),
-        "atlas" => return run_atlas(opts),
-        "table3-1" => emit(&table3_1::run_with(sweep).to_table(), csv),
-        "accuracy" => emit(&fetchvp_experiments::accuracy::run_with(sweep).to_table(), csv),
-        "breakdown" => emit(&fetchvp_experiments::breakdown::run_with(sweep).to_table(), csv),
-        "fig3-1" if chart => println!("{}", fig3_1::run_with(sweep).to_chart()),
-        "fig5-1" if chart => println!("{}", fig5_1::run_with(sweep).to_chart()),
-        "fig5-2" if chart => println!("{}", fig5_2::run_with(sweep).to_chart()),
-        "fig5-3" if chart => println!("{}", fig5_3::run_with(sweep).to_chart()),
-        "fig3-1" => emit(&fig3_1::run_with(sweep).to_table(), csv),
-        "table3-2" => emit(&table3_2::run().to_table(), csv),
-        "fig3-3" => emit(&fig3_3::run_with(sweep).to_table(), csv),
-        "fig3-4" => emit(&fig3_4::run_with(sweep).to_table(), csv),
-        "fig3-5" => emit(&fig3_5::run_with(sweep).to_table(), csv),
-        "fig5-1" => emit(&fig5_1::run_with(sweep).to_table(), csv),
-        "fig5-2" => emit(&fig5_2::run_with(sweep).to_table(), csv),
-        "fig5-3" => emit(&fig5_3::run_with(sweep).to_table(), csv),
-        "ablation-banks" => emit(&ablations::bank_sweep_with(sweep).to_table(), csv),
-        "ablation-window" => emit(&ablations::window_sweep_with(sweep).to_table(), csv),
-        "ablation-confidence" => emit(&ablations::confidence_sweep_with(sweep).to_table(), csv),
-        "ablation-predictors" => emit(&ablations::predictor_comparison_with(sweep).to_table(), csv),
-        "ablation-partial" => emit(&ablations::partial_matching_with(sweep).to_table(), csv),
-        "ablation-btb" => emit(&ablations::btb_sensitivity_with(sweep).to_table(), csv),
-        "ablation-fetch" => emit(&ablations::fetch_mechanisms_with(sweep).to_table(), csv),
-        "ablation-penalty" => emit(&ablations::penalty_sweep_with(sweep).to_table(), csv),
-        "ablation-tc" => emit(&ablations::tc_geometry_with(sweep).to_table(), csv),
-        "ablation-hints" => emit(&ablations::hint_study_with(sweep).to_table(), csv),
-        "ablation-model" => emit(&ablations::model_assumptions_with(sweep).to_table(), csv),
-        "ablation-seeds" => emit(&ablations::seed_stability_with(sweep).to_table(), csv),
-        "ablations" => {
-            for exp in [
-                "ablation-banks",
-                "ablation-window",
-                "ablation-confidence",
-                "ablation-predictors",
-                "ablation-partial",
-                "ablation-btb",
-                "ablation-fetch",
-                "ablation-penalty",
-                "ablation-tc",
-                "ablation-hints",
-                "ablation-model",
-                "ablation-seeds",
-            ] {
-                run_one(exp, sweep, opts)?;
-            }
-        }
-        "all" => {
-            for exp in [
-                "table3-1", "fig3-1", "table3-2", "fig3-3", "fig3-4", "fig3-5", "fig5-1", "fig5-2",
-                "fig5-3",
-            ] {
-                run_one(exp, sweep, opts)?;
-            }
-        }
+        "save-trace" => save_trace(cfg, positionals),
+        "trace-gen" => trace_gen(cfg, opts),
+        "trace-info" => trace_info(positionals),
+        "run-asm" => run_asm(cfg, positionals),
+        "bench" => run_bench(sweep, opts),
+        "bench-compare" => run_bench_compare(opts),
+        "trace-viz" => run_trace_viz(sweep, opts),
+        "serve" => run_serve(opts),
+        "loadgen" => run_loadgen(opts),
+        "top" => run_top(opts),
+        "fuzz" => run_fuzz(opts),
+        "atlas" => run_atlas(opts),
         other => {
-            let suggestion = nearest_command(other)
-                .map(|cmd| format!(" (did you mean `{cmd}`?)"))
-                .unwrap_or_default();
-            return Err(format!("unknown experiment `{other}`{suggestion}\n{USAGE}"));
+            let entries = registry::select(other);
+            if entries.is_empty() {
+                let suggestion = nearest_command(other)
+                    .map(|cmd| format!(" (did you mean `{cmd}`?)"))
+                    .unwrap_or_default();
+                return Err(format!("unknown experiment `{other}`{suggestion}\n{}", usage()));
+            }
+            write_experiments(&entries, sweep, opts, &mut std::io::stdout().lock())
         }
     }
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -1057,7 +1023,7 @@ fn main() -> ExitCode {
     {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
+            eprintln!("error: {e}\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -1173,10 +1139,20 @@ mod tests {
 
     #[test]
     fn usage_mentions_serve_and_version() {
-        assert!(USAGE.contains("serve [--addr HOST:PORT]"));
-        assert!(USAGE.contains("loadgen"));
-        assert!(USAGE.contains("--peers"));
-        assert!(USAGE.contains("--version"));
+        let usage = usage();
+        assert!(usage.contains("serve [--addr HOST:PORT]"));
+        assert!(usage.contains("loadgen"));
+        assert!(usage.contains("--peers"));
+        assert!(usage.contains("--version"));
+        for entry in registry::ENTRIES {
+            assert!(
+                usage.contains(&format!(" {} ", entry.name))
+                    || usage.contains(&format!(" {}\n", entry.name)),
+                "{}",
+                entry.name
+            );
+        }
+        assert!(usage.contains("(not breakdown run-asm trace-viz atlas)"), "{usage}");
     }
 
     #[test]
@@ -1302,9 +1278,21 @@ mod tests {
         let err = validate_invocation(&o).unwrap_err();
         assert!(err.contains("did you mean `--cases`?"), "{err}");
 
+        // Regression: `fetchvp table3-1 --chart` used to exit 0 and print
+        // the table. Only experiments that draw a chart take the flag;
+        // `all` does (four of its members chart), `ablations` does not.
+        for experiment in ["table3-1", "fig3-3", "usefulness", "ablation-tc", "ablations"] {
+            let o = opts(&[experiment, "--chart"]).unwrap();
+            let err = validate_invocation(&o).unwrap_err();
+            assert!(err.contains("does not take the flag `--chart`"), "{experiment}: {err}");
+        }
+
         // Applicable flags still pass on every surface they belong to.
         for line in [
             vec!["fig3-1", "--trace-len", "500", "--jobs", "2", "--csv", "--chart"],
+            vec!["fig5-3", "--chart"],
+            vec!["all", "--chart"],
+            vec!["ablations", "--csv", "--trace-dir", "/tmp/x"],
             vec!["bench", "--quick", "--repeat", "2", "--out", "r.json"],
             vec!["trace-viz", "gcc", "--cycles", "0..9", "--out", "t.json"],
             vec!["serve", "--addr", "127.0.0.1:0", "--workers", "2"],
@@ -1463,6 +1451,37 @@ mod tests {
     fn bench_compare_passes_when_the_baseline_is_missing() {
         let o = opts(&["bench-compare", "/nonexistent/baseline.json", "new.json"]).unwrap();
         run_one(&o.experiment, &Sweep::with_jobs(&o.config, o.jobs), &o).unwrap();
+    }
+
+    /// A writer whose reader has hung up.
+    #[derive(Default)]
+    struct HungUp {
+        writes: usize,
+    }
+
+    impl Write for HungUp {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            Err(ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_stops_the_run_and_succeeds() {
+        // Regression: `fetchvp all --csv | head -1` panicked with "failed
+        // printing to stdout: Broken pipe" and exited 101.
+        let o = opts(&["all", "--csv", "--trace-len", "300"]).unwrap();
+        let sweep = Sweep::with_jobs(&o.config, 1);
+        let mut out = HungUp::default();
+        write_experiments(&registry::select("all"), &sweep, &o, &mut out).unwrap();
+        assert_eq!(out.writes, 1, "the first failed write ends the run");
+        // Any other write error is still an error.
+        let err = write_output(&mut [0u8; 2].as_mut_slice(), "too long").unwrap_err();
+        assert!(err.contains("cannot write output"), "{err}");
     }
 
     #[test]

@@ -5,30 +5,30 @@
 //! `DESIGN.md` calls out, quantifying how sensitive the headline result is
 //! to each:
 //!
-//! * [`bank_sweep`] — how many banks the §4 interleaved prediction table
+//! * [`bank_sweep_with`] — how many banks the §4 interleaved prediction table
 //!   needs before router denials stop costing performance.
-//! * [`window_sweep`] — the instruction-window size the ideal machine needs
+//! * [`window_sweep_with`] — the instruction-window size the ideal machine needs
 //!   before fetch bandwidth (not the window) is the binding constraint.
-//! * [`confidence_sweep`] — the classification threshold's
+//! * [`confidence_sweep_with`] — the classification threshold's
 //!   coverage/accuracy trade-off (§3.1's saturating-counter unit).
-//! * [`predictor_comparison`] — last-value vs stride vs two-delta vs the
+//! * [`predictor_comparison_with`] — last-value vs stride vs two-delta vs the
 //!   §4.2 hybrid, on equal footing.
-//! * [`partial_matching`] — the trace-cache policy alternative of paper
+//! * [`partial_matching_with`] — the trace-cache policy alternative of paper
 //!   reference \[6\] (Friendly, Patel & Patt).
-//! * [`btb_sensitivity`] — branch predictors of increasing quality under
+//! * [`btb_sensitivity_with`] — branch predictors of increasing quality under
 //!   the §5 machine, quantifying the paper's closing remark that BTB
 //!   accuracy directly scales the value-prediction gain.
-//! * [`fetch_mechanisms`] — the §2.2 high-bandwidth fetch mechanisms
+//! * [`fetch_mechanisms_with`] — the §2.2 high-bandwidth fetch mechanisms
 //!   (taken-branch-limited, branch address cache, trace cache) compared
 //!   head-to-head.
-//! * [`penalty_sweep`] — branch/value misprediction penalties around the
+//! * [`penalty_sweep_with`] — branch/value misprediction penalties around the
 //!   paper's (3, 1) operating point.
-//! * [`tc_geometry`] — trace-cache size and line length.
-//! * [`hint_study`] — the hybrid predictor's dynamic classification vs the
+//! * [`tc_geometry_with`] — trace-cache size and line length.
+//! * [`hint_study_with`] — the hybrid predictor's dynamic classification vs the
 //!   profiling hints of §4.2 (reference \[9\]).
-//! * [`model_assumptions`] — relaxing the §3 idealizations (structural
+//! * [`model_assumptions_with`] — relaxing the §3 idealizations (structural
 //!   hazards, memory dependencies) one at a time.
-//! * [`seed_stability`] — the Figure 3.1 averages across five workload
+//! * [`seed_stability_with`] — the Figure 3.1 averages across five workload
 //!   seeds, showing the conclusions do not hinge on one dataset.
 
 use fetchvp_bpred::{GshareConfig, TwoLevelConfig};
@@ -55,7 +55,7 @@ fn column_mean<R>(rows: &[(&'static str, Vec<R>)], i: usize, f: impl Fn(&R) -> f
     mean(&rows.iter().map(|(_, cols)| f(&cols[i])).collect::<Vec<_>>())
 }
 
-/// The bank counts swept by [`bank_sweep`].
+/// The bank counts swept by [`bank_sweep_with`].
 pub const BANK_SWEEP: [u32; 6] = [1, 2, 4, 8, 16, 64];
 
 /// Result of the bank-count ablation.
@@ -84,12 +84,9 @@ fn tc_front_end() -> FrontEnd {
 }
 
 /// Sweeps the number of banks in the §4 interleaved prediction table.
-pub fn bank_sweep(cfg: &ExperimentConfig) -> BankSweepResult {
-    bank_sweep_with(&Sweep::serial(cfg))
-}
-
-/// [`bank_sweep`] on a [`Sweep`]: per benchmark, the baseline and all bank
-/// counts advance in batched lockstep over one trace walk.
+///
+/// Per benchmark, the baseline and all bank counts advance in batched
+/// lockstep over one trace walk.
 pub fn bank_sweep_with(sweep: &Sweep) -> BankSweepResult {
     let mut configs =
         vec![MachineConfig::Realistic(RealisticConfig::paper(tc_front_end(), VpConfig::None))];
@@ -125,7 +122,7 @@ pub fn bank_sweep_with(sweep: &Sweep) -> BankSweepResult {
     }
 }
 
-/// The window sizes swept by [`window_sweep`].
+/// The window sizes swept by [`window_sweep_with`].
 pub const WINDOW_SWEEP: [usize; 4] = [16, 40, 80, 160];
 
 /// Result of the instruction-window ablation.
@@ -150,12 +147,9 @@ impl WindowSweepResult {
 }
 
 /// Sweeps the ideal machine's instruction-window size at fetch rate 16.
-pub fn window_sweep(cfg: &ExperimentConfig) -> WindowSweepResult {
-    window_sweep_with(&Sweep::serial(cfg))
-}
-
-/// [`window_sweep`] on a [`Sweep`]: per benchmark, the base/VP pairs of
-/// all window sizes advance in batched lockstep over one trace walk.
+///
+/// Per benchmark, the base/VP pairs of all window sizes advance in batched
+/// lockstep over one trace walk.
 pub fn window_sweep_with(sweep: &Sweep) -> WindowSweepResult {
     let configs: Vec<MachineConfig> = WINDOW_SWEEP
         .iter()
@@ -208,12 +202,9 @@ impl ConfidenceSweepResult {
 }
 
 /// Sweeps the saturating-counter confidence threshold.
-pub fn confidence_sweep(cfg: &ExperimentConfig) -> ConfidenceSweepResult {
-    confidence_sweep_with(&Sweep::serial(cfg))
-}
-
-/// [`confidence_sweep`] on a [`Sweep`]: per benchmark, the baseline and
-/// all thresholds advance in batched lockstep over one trace walk.
+///
+/// Per benchmark, the baseline and all thresholds advance in batched
+/// lockstep over one trace walk.
 pub fn confidence_sweep_with(sweep: &Sweep) -> ConfidenceSweepResult {
     let thresholds: [u8; 4] = [0, 1, 2, 3];
     let ideal16 =
@@ -286,13 +277,9 @@ impl PredictorComparisonResult {
 /// Compares last-value, simple-stride, two-delta-stride, hybrid and FCM
 /// prediction under identical machine conditions (§4.2's discussion plus
 /// the context-based scheme of reference \[22\]).
-pub fn predictor_comparison(cfg: &ExperimentConfig) -> PredictorComparisonResult {
-    predictor_comparison_with(&Sweep::serial(cfg))
-}
-
-/// [`predictor_comparison`] on a [`Sweep`]: per benchmark, the baseline
-/// and all predictor kinds advance in batched lockstep over one trace
-/// walk.
+///
+/// Per benchmark, the baseline and all predictor kinds advance in batched
+/// lockstep over one trace walk.
 pub fn predictor_comparison_with(sweep: &Sweep) -> PredictorComparisonResult {
     let kinds: [(&str, PredictorKind); 5] = [
         (
@@ -388,26 +375,27 @@ impl SeedStabilityResult {
 
 /// Re-runs the Figure 3.1 averages across several workload-data seeds: the
 /// paper's conclusions must not depend on one synthetic dataset.
-pub fn seed_stability(cfg: &ExperimentConfig) -> SeedStabilityResult {
-    seed_stability_with(&Sweep::serial(cfg))
-}
-
-/// [`seed_stability`] parallelized within each seed. Every seed generates
-/// *different* traces, so it cannot share the caller's [`TraceCache`](crate::TraceCache); each
-/// seed gets its own sweep (with the caller's job count and trace
-/// directory) and runs in turn.
+///
+/// The caller's own seed runs on the caller's sweep. Every other seed
+/// generates *different* traces, so it cannot share the caller's
+/// [`TraceCache`](crate::TraceCache); each gets its own sweep (with the
+/// caller's job count and trace directory) and runs in turn.
 pub fn seed_stability_with(sweep: &Sweep) -> SeedStabilityResult {
     let cfg = sweep.config();
     let trace_dir = sweep.cache().trace_dir();
     let seeds = [cfg.workloads.seed, 1, 42, 0xDEAD_BEEF, 0x1998];
     let mut per_rate: Vec<Vec<f64>> = vec![Vec::new(); crate::fig3_1::FETCH_RATES.len()];
-    for seed in seeds {
+    for (i, seed) in seeds.into_iter().enumerate() {
         let seeded = ExperimentConfig {
             workloads: fetchvp_workloads::WorkloadParams { seed, ..cfg.workloads },
             ..*cfg
         };
-        let seeded = Sweep::with_trace_dir(&seeded, trace_dir.cloned(), sweep.jobs());
-        let averages = crate::fig3_1::run_with(&seeded).averages();
+        let averages = if i == 0 {
+            crate::fig3_1::run_with(sweep).averages()
+        } else {
+            let seeded = Sweep::with_trace_dir(&seeded, trace_dir.cloned(), sweep.jobs());
+            crate::fig3_1::run_with(&seeded).averages()
+        };
         for (i, a) in averages.into_iter().enumerate() {
             per_rate[i].push(a);
         }
@@ -452,12 +440,9 @@ impl ModelAssumptionsResult {
 /// units (structural hazards) and memory dependencies (store-to-load
 /// ordering), quantifying how much each assumption contributes to the
 /// reported speedups.
-pub fn model_assumptions(cfg: &ExperimentConfig) -> ModelAssumptionsResult {
-    model_assumptions_with(&Sweep::serial(cfg))
-}
-
-/// [`model_assumptions`] on a [`Sweep`]: per benchmark, the base/VP pairs
-/// of all variants advance in batched lockstep over one trace walk.
+///
+/// Per benchmark, the base/VP pairs of all variants advance in batched
+/// lockstep over one trace walk.
 pub fn model_assumptions_with(sweep: &Sweep) -> ModelAssumptionsResult {
     let variants: [(&str, Option<usize>, bool); 4] = [
         ("paper model (no structural/memory constraints)", None, false),
@@ -525,12 +510,9 @@ impl PenaltySweepResult {
 
 /// Sweeps the branch- and value-misprediction penalties around the paper's
 /// (3, 1) operating point.
-pub fn penalty_sweep(cfg: &ExperimentConfig) -> PenaltySweepResult {
-    penalty_sweep_with(&Sweep::serial(cfg))
-}
-
-/// [`penalty_sweep`] on a [`Sweep`]: per benchmark, the base/VP pairs of
-/// all grid points advance in batched lockstep over one trace walk.
+///
+/// Per benchmark, the base/VP pairs of all grid points advance in batched
+/// lockstep over one trace walk.
 pub fn penalty_sweep_with(sweep: &Sweep) -> PenaltySweepResult {
     let grid: [(u64, u64); 5] = [(0, 1), (3, 0), (3, 1), (3, 3), (10, 1)];
     let fe =
@@ -587,12 +569,9 @@ impl TcGeometryResult {
 /// Sweeps the trace-cache size and line length around the paper's
 /// 64-entry, 32-instruction design point — §5's "improving the performance
 /// of the trace cache".
-pub fn tc_geometry(cfg: &ExperimentConfig) -> TcGeometryResult {
-    tc_geometry_with(&Sweep::serial(cfg))
-}
-
-/// [`tc_geometry`] on a [`Sweep`]: per benchmark, the base/VP pairs of
-/// all geometries advance in batched lockstep over one trace walk.
+///
+/// Per benchmark, the base/VP pairs of all geometries advance in batched
+/// lockstep over one trace walk.
 pub fn tc_geometry_with(sweep: &Sweep) -> TcGeometryResult {
     let geometries: [(usize, usize); 4] = [(16, 16), (64, 16), (64, 32), (256, 32)];
     let configs: Vec<MachineConfig> = geometries
@@ -657,12 +636,9 @@ impl HintStudyResult {
 /// Compares the hybrid predictor's dynamic classification against
 /// profiling-based opcode hints (§4.2, reference \[9\]): the first half of
 /// each trace trains the profile, the second half evaluates all schemes.
-pub fn hint_study(cfg: &ExperimentConfig) -> HintStudyResult {
-    hint_study_with(&Sweep::serial(cfg))
-}
-
-/// [`hint_study`] on a [`Sweep`], one job per benchmark (the three schemes
-/// share the measuring pass over the trace).
+///
+/// Runs one job per benchmark (the three schemes share the measuring pass
+/// over the trace).
 pub fn hint_study_with(sweep: &Sweep) -> HintStudyResult {
     let names = ["stride", "hybrid (dynamic)", "hybrid (profiled hints)"];
     let rows = sweep.per_workload(hint_row);
@@ -754,12 +730,9 @@ impl FetchMechanismResult {
 /// taken branch per cycle (present processors), the branch address cache
 /// (\[28\]), and the trace cache (\[18\]) — all with the paper's 2-level
 /// BTB and stride value prediction.
-pub fn fetch_mechanisms(cfg: &ExperimentConfig) -> FetchMechanismResult {
-    fetch_mechanisms_with(&Sweep::serial(cfg))
-}
-
-/// [`fetch_mechanisms`] on a [`Sweep`]: per benchmark, the base/VP pairs
-/// of all front-ends advance in batched lockstep over one trace walk.
+///
+/// Per benchmark, the base/VP pairs of all front-ends advance in batched
+/// lockstep over one trace walk.
 pub fn fetch_mechanisms_with(sweep: &Sweep) -> FetchMechanismResult {
     let front_ends: [(&str, FrontEnd); 4] = [
         (
@@ -847,12 +820,9 @@ impl BtbSensitivityResult {
 /// accuracy can considerably affect the performance gain of value
 /// prediction" — by sweeping branch predictors of increasing quality under
 /// the Figure 5.1/5.2 machine at n = 4.
-pub fn btb_sensitivity(cfg: &ExperimentConfig) -> BtbSensitivityResult {
-    btb_sensitivity_with(&Sweep::serial(cfg))
-}
-
-/// [`btb_sensitivity`] on a [`Sweep`]: per benchmark, the base/VP pairs
-/// of all BTBs advance in batched lockstep over one trace walk.
+///
+/// Per benchmark, the base/VP pairs of all BTBs advance in batched lockstep
+/// over one trace walk.
 pub fn btb_sensitivity_with(sweep: &Sweep) -> BtbSensitivityResult {
     let btbs: [(&str, BtbKind); 4] = [
         (
@@ -924,12 +894,9 @@ impl PartialMatchingResult {
 
 /// Compares the base (full-match-or-miss) trace cache against partial
 /// matching (paper reference \[6\]).
-pub fn partial_matching(cfg: &ExperimentConfig) -> PartialMatchingResult {
-    partial_matching_with(&Sweep::serial(cfg))
-}
-
-/// [`partial_matching`] on a [`Sweep`]: per benchmark, both policies
-/// advance in batched lockstep over one trace walk.
+///
+/// Per benchmark, both policies advance in batched lockstep over one trace
+/// walk.
 pub fn partial_matching_with(sweep: &Sweep) -> PartialMatchingResult {
     let configs = [false, true].map(|partial_matching| {
         let fe = FrontEnd::TraceCache {
@@ -950,13 +917,13 @@ pub fn partial_matching_with(sweep: &Sweep) -> PartialMatchingResult {
 mod tests {
     use super::*;
 
-    fn cfg() -> ExperimentConfig {
-        ExperimentConfig { trace_len: 15_000, ..ExperimentConfig::default() }
+    fn sweep() -> Sweep {
+        Sweep::serial(&ExperimentConfig { trace_len: 15_000, ..ExperimentConfig::default() })
     }
 
     #[test]
     fn bank_sweep_denials_fall_monotonically() {
-        let r = bank_sweep(&cfg());
+        let r = bank_sweep_with(&sweep());
         assert_eq!(r.points.len(), BANK_SWEEP.len());
         for w in r.points.windows(2) {
             assert!(w[1].2 <= w[0].2 + 1e-9, "denial rate rose: {:?}", r.points);
@@ -967,7 +934,7 @@ mod tests {
 
     #[test]
     fn window_sweep_speedup_grows_with_window() {
-        let r = window_sweep(&cfg());
+        let r = window_sweep_with(&sweep());
         let first = r.points.first().unwrap().1;
         let last = r.points.last().unwrap().1;
         assert!(last >= first - 0.02, "window growth hurt: {:?}", r.points);
@@ -975,7 +942,7 @@ mod tests {
 
     #[test]
     fn confidence_sweep_trades_coverage_for_accuracy() {
-        let r = confidence_sweep(&cfg());
+        let r = confidence_sweep_with(&sweep());
         for w in r.points.windows(2) {
             assert!(w[1].1 <= w[0].1 + 1e-9, "coverage must fall: {:?}", r.points);
             assert!(w[1].2 >= w[0].2 - 0.02, "accuracy must rise: {:?}", r.points);
@@ -984,7 +951,7 @@ mod tests {
 
     #[test]
     fn stride_beats_last_value_on_this_suite() {
-        let r = predictor_comparison(&cfg());
+        let r = predictor_comparison_with(&sweep());
         let stride = r.speedup_of("stride").unwrap();
         let last = r.speedup_of("last-value").unwrap();
         assert!(
@@ -996,7 +963,7 @@ mod tests {
 
     #[test]
     fn partial_matching_does_not_hurt() {
-        let r = partial_matching(&cfg());
+        let r = partial_matching_with(&sweep());
         for (name, full, partial) in &r.rows {
             assert!(partial >= &(full * 0.97), "{name}: partial matching lost >3%");
         }
@@ -1004,8 +971,8 @@ mod tests {
 
     #[test]
     fn conclusions_hold_across_seeds() {
-        let r =
-            seed_stability(&ExperimentConfig { trace_len: 8_000, ..ExperimentConfig::default() });
+        let cfg = ExperimentConfig { trace_len: 8_000, ..ExperimentConfig::default() };
+        let r = seed_stability_with(&Sweep::serial(&cfg));
         // Fetch-4 is negligible for every seed; fetch-40 is large for every
         // seed.
         let at4 = r.points[0];
@@ -1016,7 +983,7 @@ mod tests {
 
     #[test]
     fn relaxed_assumptions_only_reduce_ipc() {
-        let r = model_assumptions(&cfg());
+        let r = model_assumptions_with(&sweep());
         let base = r.points[0].1;
         for (name, ipc, _) in &r.points[1..] {
             assert!(*ipc <= base + 1e-9, "{name}: IPC {ipc:.2} above the ideal {base:.2}");
@@ -1025,7 +992,7 @@ mod tests {
 
     #[test]
     fn harsher_penalties_reduce_the_gain() {
-        let r = penalty_sweep(&cfg());
+        let r = penalty_sweep_with(&sweep());
         let find = |bp, vp| {
             r.points.iter().find(|&&(b, v, _)| (b, v) == (bp, vp)).map(|&(_, _, s)| s).unwrap()
         };
@@ -1036,7 +1003,7 @@ mod tests {
 
     #[test]
     fn bigger_trace_caches_do_not_hurt() {
-        let r = tc_geometry(&cfg());
+        let r = tc_geometry_with(&sweep());
         let small = r.points[0].2;
         let big = r.points.last().unwrap().2;
         assert!(big >= small - 0.05, "bigger cache lost IPC: {:?}", r.points);
@@ -1044,7 +1011,7 @@ mod tests {
 
     #[test]
     fn profiled_hints_trade_coverage_for_accuracy() {
-        let r = hint_study(&cfg());
+        let r = hint_study_with(&sweep());
         let (dyn_cov, _) = r.point_of("hybrid (dynamic)").unwrap();
         let (hint_cov, hint_acc) = r.point_of("hybrid (profiled hints)").unwrap();
         // Hints exclude unpredictable PCs entirely: lower coverage, high
@@ -1055,7 +1022,7 @@ mod tests {
 
     #[test]
     fn high_bandwidth_mechanisms_beat_single_taken_branch_fetch() {
-        let r = fetch_mechanisms(&cfg());
+        let r = fetch_mechanisms_with(&sweep());
         let (one_ipc, _) = r.point_of("conventional, 1 taken/cycle").unwrap();
         let (bac_ipc, _) = r.point_of("branch address cache (3 blocks)").unwrap();
         let (tc_ipc, _) = r.point_of("trace cache (64 x 32)").unwrap();
@@ -1065,7 +1032,7 @@ mod tests {
 
     #[test]
     fn btb_quality_scales_vp_gain() {
-        let r = btb_sensitivity(&cfg());
+        let r = btb_sensitivity_with(&sweep());
         assert_eq!(r.points.len(), 4);
         let small = r.points[0].2;
         let ideal = r.points[3].2;
@@ -1076,8 +1043,8 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let c = cfg();
-        assert!(bank_sweep(&c).to_table().to_string().contains("banks"));
-        assert!(window_sweep(&c).to_table().num_rows() == WINDOW_SWEEP.len());
+        let s = sweep();
+        assert!(bank_sweep_with(&s).to_table().to_string().contains("banks"));
+        assert!(window_sweep_with(&s).to_table().num_rows() == WINDOW_SWEEP.len());
     }
 }

@@ -12,7 +12,6 @@ use fetchvp_workloads::Workload;
 
 use crate::report::{pct, Table};
 use crate::sweep::{fold_slots, Sweep};
-use crate::ExperimentConfig;
 
 /// The predictors compared (in column order).
 pub const PREDICTORS: [&str; 4] = ["last-value", "stride", "hybrid", "fcm"];
@@ -62,13 +61,9 @@ impl AccuracyResult {
     }
 }
 
-/// Runs every predictor over every benchmark's value stream, serially.
-pub fn run(cfg: &ExperimentConfig) -> AccuracyResult {
-    run_with(&Sweep::serial(cfg))
-}
-
-/// Runs the measurement on a [`Sweep`], one job per benchmark (the four
-/// predictors share a single pass over the trace).
+/// Runs every predictor over every benchmark's value stream on a
+/// [`Sweep`], one job per benchmark (the four predictors share a single
+/// pass over the trace).
 pub fn run_with(sweep: &Sweep) -> AccuracyResult {
     let rows = sweep.per_workload(predictor_stats);
     AccuracyResult { rows: rows.into_iter().map(|(n, s)| (n.to_string(), s)).collect() }
@@ -90,6 +85,7 @@ pub(crate) fn predictor_stats(workload: &Workload, source: &TraceSource) -> [Pre
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     fn cfg() -> ExperimentConfig {
         ExperimentConfig { trace_len: 20_000, ..ExperimentConfig::default() }
@@ -97,7 +93,7 @@ mod tests {
 
     #[test]
     fn stride_dominates_on_the_strided_outliers() {
-        let r = run(&cfg());
+        let r = run_with(&Sweep::serial(&cfg()));
         for bench in ["m88ksim", "vortex"] {
             let stride = r.stats_of(bench, "stride").unwrap();
             let last = r.stats_of(bench, "last-value").unwrap();
@@ -112,7 +108,7 @@ mod tests {
 
     #[test]
     fn classified_predictions_are_accurate_everywhere() {
-        let r = run(&cfg());
+        let r = run_with(&Sweep::serial(&cfg()));
         for (name, stats) in &r.rows {
             // The classification unit's whole job: whatever is predicted,
             // is predicted well.
@@ -125,7 +121,10 @@ mod tests {
 
     #[test]
     fn table_shape() {
-        let r = run(&ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 5_000,
+            ..ExperimentConfig::default()
+        }));
         assert_eq!(r.to_table().num_rows(), 8);
         assert!(r.stats_of("go", "fcm").is_some());
         assert!(r.stats_of("go", "nonesuch").is_none());

@@ -13,7 +13,6 @@ use fetchvp_core::{BtbKind, CycleBreakdown, FrontEnd, RealisticConfig, VpConfig}
 
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
-use crate::ExperimentConfig;
 
 /// One benchmark's slot attribution under one configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,13 +63,8 @@ impl BreakdownResult {
     }
 }
 
-/// Runs the attribution for the whole suite, serially.
-pub fn run(cfg: &ExperimentConfig) -> BreakdownResult {
-    run_with(&Sweep::serial(cfg))
-}
-
-/// Runs the attribution on a [`Sweep`], one job per (benchmark, config)
-/// cell.
+/// Runs the attribution for the whole suite on a [`Sweep`], one job per
+/// (benchmark, config) cell.
 pub fn run_with(sweep: &Sweep) -> BreakdownResult {
     let fe =
         FrontEnd::Conventional { width: 40, max_taken: Some(4), btb: BtbKind::two_level_paper() };
@@ -91,6 +85,7 @@ pub fn run_with(sweep: &Sweep) -> BreakdownResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     fn cfg() -> ExperimentConfig {
         ExperimentConfig { trace_len: 20_000, ..ExperimentConfig::default() }
@@ -98,7 +93,7 @@ mod tests {
 
     #[test]
     fn attributions_cover_every_slot() {
-        let r = run(&cfg());
+        let r = run_with(&Sweep::serial(&cfg()));
         assert_eq!(r.rows.len(), 8);
         for (name, base, vp) in &r.rows {
             assert!(base.total() > 0, "{name}");
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn vp_reduces_dataflow_stalls_where_it_speeds_up() {
-        let r = run(&cfg());
+        let r = run_with(&Sweep::serial(&cfg()));
         let (base, vp) = r.row_of("vortex").expect("vortex in suite");
         assert!(
             vp.dataflow_stall < base.dataflow_stall,
@@ -123,7 +118,10 @@ mod tests {
 
     #[test]
     fn table_shape() {
-        let r = run(&ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 5_000,
+            ..ExperimentConfig::default()
+        }));
         assert_eq!(r.to_table().num_rows(), 16); // 8 benchmarks x 2 configs
     }
 }

@@ -9,9 +9,9 @@
 use fetchvp_core::{IdealConfig, MachineConfig, VpConfig};
 
 use crate::chart::BarChart;
+use crate::mean;
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
-use crate::{mean, ExperimentConfig};
 
 /// The fetch rates the paper sweeps.
 pub const FETCH_RATES: [usize; 5] = [4, 8, 16, 32, 40];
@@ -71,11 +71,6 @@ impl Fig31Result {
     }
 }
 
-/// Runs the experiment serially.
-pub fn run(cfg: &ExperimentConfig) -> Fig31Result {
-    run_with(&Sweep::serial(cfg))
-}
-
 /// Runs the experiment on a [`Sweep`]: per benchmark, all ten machines
 /// (base + VP at each fetch rate) advance in batched lockstep over one
 /// trace walk.
@@ -103,10 +98,11 @@ pub fn run_with(sweep: &Sweep) -> Fig31Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     #[test]
     fn speedup_grows_with_fetch_rate_on_average() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         let avg = r.averages();
         assert_eq!(avg.len(), 5);
         // The paper's headline: fetch-4 speedup is marginal, fetch-40 large.
@@ -120,7 +116,7 @@ mod tests {
 
     #[test]
     fn m88ksim_and_vortex_are_the_outliers() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         let at16 = |name: &str| r.speedups_of(name).unwrap()[2];
         let others = ["go", "gcc", "compress", "li", "ijpeg", "perl"];
         let other_max = others.iter().map(|n| at16(n)).fold(f64::NEG_INFINITY, f64::max);
@@ -135,7 +131,10 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_benchmark_plus_average() {
-        let r = run(&ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 5_000,
+            ..ExperimentConfig::default()
+        }));
         assert_eq!(r.to_table().num_rows(), 9);
     }
 }

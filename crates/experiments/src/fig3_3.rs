@@ -5,7 +5,7 @@
 
 use crate::report::{num, Table};
 use crate::sweep::Sweep;
-use crate::{did_analysis, mean, ExperimentConfig};
+use crate::{did_analysis, mean};
 
 /// Per-benchmark average DID.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,11 +39,6 @@ impl Fig33Result {
     }
 }
 
-/// Runs the experiment serially.
-pub fn run(cfg: &ExperimentConfig) -> Fig33Result {
-    run_with(&Sweep::serial(cfg))
-}
-
 /// Runs the experiment on a [`Sweep`], one job per benchmark.
 pub fn run_with(sweep: &Sweep) -> Fig33Result {
     let rows = sweep.per_workload(|w, source| did_analysis(w, source).avg_did());
@@ -53,10 +48,11 @@ pub fn run_with(sweep: &Sweep) -> Fig33Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     #[test]
     fn every_benchmark_exceeds_the_4_wide_fetch() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         for (name, did) in &r.rows {
             assert!(*did > 4.0, "{name}: average DID {did:.2} not > 4");
         }
@@ -65,7 +61,10 @@ mod tests {
 
     #[test]
     fn table_lists_all_benchmarks() {
-        let r = run(&ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 5_000,
+            ..ExperimentConfig::default()
+        }));
         assert_eq!(r.to_table().num_rows(), 9);
         assert!(r.avg_did_of("vortex").is_some());
         assert!(r.avg_did_of("nonesuch").is_none());

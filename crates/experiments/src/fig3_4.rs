@@ -8,7 +8,7 @@ use fetchvp_dfg::DidHistogram;
 
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
-use crate::{did_analysis, mean, ExperimentConfig};
+use crate::{did_analysis, mean};
 
 /// Per-benchmark DID histograms.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,11 +48,6 @@ impl Fig34Result {
     }
 }
 
-/// Runs the experiment serially.
-pub fn run(cfg: &ExperimentConfig) -> Fig34Result {
-    run_with(&Sweep::serial(cfg))
-}
-
 /// Runs the experiment on a [`Sweep`], one job per benchmark.
 pub fn run_with(sweep: &Sweep) -> Fig34Result {
     let rows = sweep.per_workload(|w, source| did_analysis(w, source).histogram);
@@ -62,10 +57,11 @@ pub fn run_with(sweep: &Sweep) -> Fig34Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     #[test]
     fn long_dependencies_dominate_on_average() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         let avg = r.average_long_fraction();
         // The paper reports ≈60%; accept a generous band around it.
         assert!((0.40..=0.85).contains(&avg), "average DID>=4 fraction {avg:.2}");
@@ -73,7 +69,10 @@ mod tests {
 
     #[test]
     fn histograms_are_nonempty_for_every_benchmark() {
-        let r = run(&ExperimentConfig { trace_len: 10_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 10_000,
+            ..ExperimentConfig::default()
+        }));
         for (name, h) in &r.rows {
             assert!(h.total() > 1_000, "{name}: too few arcs");
         }

@@ -7,7 +7,7 @@
 
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
-use crate::{did_analysis, mean, ExperimentConfig};
+use crate::{did_analysis, mean};
 
 /// One benchmark's predictability breakdown (fractions of all arcs).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,11 +56,6 @@ impl Fig35Result {
     }
 }
 
-/// Runs the experiment serially.
-pub fn run(cfg: &ExperimentConfig) -> Fig35Result {
-    run_with(&Sweep::serial(cfg))
-}
-
 /// Runs the experiment on a [`Sweep`], one job per benchmark.
 pub fn run_with(sweep: &Sweep) -> Fig35Result {
     let rows = sweep.per_workload(|w, source| {
@@ -77,10 +72,14 @@ pub fn run_with(sweep: &Sweep) -> Fig35Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     #[test]
     fn fractions_sum_to_one() {
-        let r = run(&ExperimentConfig { trace_len: 20_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 20_000,
+            ..ExperimentConfig::default()
+        }));
         for (name, row) in &r.rows {
             let sum = row.unpredictable + row.predictable_short + row.predictable_long;
             assert!((sum - 1.0).abs() < 1e-9, "{name}: fractions sum to {sum}");
@@ -89,7 +88,7 @@ mod tests {
 
     #[test]
     fn m88ksim_and_vortex_lead_in_predictable_long_dependencies() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         let long = |n: &str| r.row_of(n).unwrap().predictable_long;
         let others = ["go", "gcc", "compress", "li", "ijpeg", "perl"];
         let other_max = others.iter().map(|n| long(n)).fold(f64::NEG_INFINITY, f64::max);
@@ -101,7 +100,7 @@ mod tests {
 
     #[test]
     fn short_predictable_fraction_is_modest_on_average() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         let avg = r.average_predictable_short();
         // Paper: ≈23% on average. Accept a band.
         assert!((0.05..=0.40).contains(&avg), "avg predictable-short {avg:.2}");

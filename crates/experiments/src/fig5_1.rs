@@ -8,9 +8,9 @@
 use fetchvp_core::{BtbKind, FrontEnd, MachineConfig, RealisticConfig, VpConfig};
 
 use crate::chart::BarChart;
+use crate::mean;
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
-use crate::{mean, ExperimentConfig};
 
 /// The taken-branch allowances the paper sweeps (`None` = unlimited; the
 /// paper uses the decode width, 40, as "unlimited").
@@ -103,11 +103,6 @@ pub(crate) fn taken_sweep(sweep: &Sweep, btb: BtbKind, title: &str) -> TakenSwee
     TakenSweepResult { title: title.to_string(), rows }
 }
 
-/// Runs the experiment serially.
-pub fn run(cfg: &ExperimentConfig) -> TakenSweepResult {
-    run_with(&Sweep::serial(cfg))
-}
-
 /// Runs the experiment on a [`Sweep`].
 pub fn run_with(sweep: &Sweep) -> TakenSweepResult {
     taken_sweep(
@@ -120,10 +115,11 @@ pub fn run_with(sweep: &Sweep) -> TakenSweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     #[test]
     fn speedup_grows_with_taken_branch_allowance() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         let avg = r.averages();
         assert!(avg[0] < 0.20, "n=1 average {:.2} too large", avg[0]);
         assert!(*avg.last().unwrap() > avg[0] + 0.05, "no growth across the sweep: {avg:?}");
@@ -134,7 +130,10 @@ mod tests {
 
     #[test]
     fn table_shape() {
-        let r = run(&ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 5_000,
+            ..ExperimentConfig::default()
+        }));
         assert_eq!(r.to_table().num_rows(), 9);
         assert_eq!(sweep_labels().last().unwrap(), "unlimited");
     }

@@ -10,12 +10,6 @@ use fetchvp_core::BtbKind;
 
 use crate::fig5_1::{taken_sweep, TakenSweepResult};
 use crate::sweep::Sweep;
-use crate::ExperimentConfig;
-
-/// Runs the experiment serially.
-pub fn run(cfg: &ExperimentConfig) -> TakenSweepResult {
-    run_with(&Sweep::serial(cfg))
-}
 
 /// Runs the experiment on a [`Sweep`].
 pub fn run_with(sweep: &Sweep) -> TakenSweepResult {
@@ -30,12 +24,13 @@ pub fn run_with(sweep: &Sweep) -> TakenSweepResult {
 mod tests {
     use super::*;
     use crate::fig5_1;
+    use crate::ExperimentConfig;
 
     #[test]
     fn real_btb_speedups_do_not_exceed_ideal_by_much() {
-        let cfg = ExperimentConfig::quick();
-        let ideal = fig5_1::run(&cfg);
-        let real = run(&cfg);
+        let sweep = Sweep::serial(&ExperimentConfig::quick());
+        let ideal = fig5_1::run_with(&sweep);
+        let real = run_with(&sweep);
         let (ia, ra) = (ideal.averages(), real.averages());
         // At the high-bandwidth end the realistic BTB must lose part of the
         // gain (the paper reports ≈30% lower at n=4).
@@ -50,7 +45,7 @@ mod tests {
 
     #[test]
     fn speedup_still_grows_with_bandwidth() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         let avg = r.averages();
         assert!(*avg.last().unwrap() >= avg[0], "{avg:?}");
     }

@@ -15,9 +15,9 @@ use fetchvp_fetch::TraceCacheConfig;
 use fetchvp_predictor::BankedConfig;
 
 use crate::chart::BarChart;
+use crate::mean;
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
-use crate::{mean, ExperimentConfig};
 
 /// Number of prediction-table banks in the §4 front-end ("highly
 /// interleaved").
@@ -81,11 +81,6 @@ fn config_pair(btb: BtbKind) -> [MachineConfig; 2] {
     ]
 }
 
-/// Runs the experiment serially.
-pub fn run(cfg: &ExperimentConfig) -> Fig53Result {
-    run_with(&Sweep::serial(cfg))
-}
-
 /// Runs the experiment on a [`Sweep`], one job per (benchmark, BTB) cell.
 ///
 /// Matching the paper's figure, whose x-axis includes the SPECfp benchmark
@@ -105,10 +100,11 @@ pub fn run_with(sweep: &Sweep) -> Fig53Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     #[test]
     fn trace_cache_value_prediction_pays_off_on_average() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         let (two_level, ideal) = r.averages();
         // Paper: >10% with the 2-level BTB; <40%-ish with the ideal BTB.
         assert!(two_level > 0.02, "TC+2level average {two_level:.2} too small");
@@ -117,7 +113,10 @@ mod tests {
 
     #[test]
     fn table_shape_includes_mgrid() {
-        let r = run(&ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 5_000,
+            ..ExperimentConfig::default()
+        }));
         assert_eq!(r.to_table().num_rows(), 10); // 9 benchmarks + avg
         assert!(r.row_of("go").is_some());
         assert!(r.row_of("mgrid").is_some(), "the paper's figure includes mgrid");

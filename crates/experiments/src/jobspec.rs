@@ -8,13 +8,13 @@
 //! ([`MAX_TRACE_LEN`], [`MAX_JOBS`]) so a single request cannot pin the
 //! daemon, and deterministic execution through the same [`Sweep`] runner
 //! the CLI uses, so a served result is byte-identical to an in-process
-//! run of the same spec (the `server_e2e` test asserts this).
+//! run of the same spec (`tests/golden_identity.rs` asserts this).
 //!
 //! # Schema
 //!
 //! ```json
 //! {
-//!   "experiment": "bench",   // required; see EXPERIMENTS
+//!   "experiment": "bench",   // required; `bench` or a served registry entry
 //!   "trace_len": 60000,      // optional; 1..=MAX_TRACE_LEN, default 60000
 //!                            // (up to MAX_TRACE_LEN_OOC when the daemon has
 //!                            //  a trace directory, except `breakdown`)
@@ -24,17 +24,13 @@
 //! ```
 //!
 //! `"bench"` runs the standard [`mod@bench`] suite and returns the full report
-//! document; every other experiment name runs the corresponding
-//! table/figure runner and returns `{"experiment", "csv"}` with the
-//! table's CSV rendering.
+//! document; every other experiment name is a [`registry`] entry marked
+//! [`served`](crate::registry::Experiment::served): its runner's table
+//! comes back as `{"experiment", "csv"}`.
 
 use fetchvp_metrics::{Json, Registry};
 
-use crate::sweep::RESIDENT_ONLY;
-use crate::{
-    ablations, accuracy, bench, breakdown, fig3_1, fig3_3, fig3_4, fig3_5, fig5_1, fig5_2, fig5_3,
-    table3_1, usefulness, ExperimentConfig, Sweep, Table,
-};
+use crate::{bench, registry, ExperimentConfig, Sweep};
 
 /// Upper bound on a served job's `trace_len` when the job holds its traces
 /// in memory.
@@ -46,7 +42,8 @@ pub const MAX_TRACE_LEN: u64 = 5_000_000;
 
 /// Upper bound on a served job's `trace_len` when the server runs with a
 /// trace directory and the experiment does not need whole resident traces
-/// ([`needs_resident_trace`]) — the paper's 100M-instruction scale.
+/// ([`registry::Experiment::resident`]) — the paper's 100M-instruction
+/// scale.
 pub const MAX_TRACE_LEN_OOC: u64 = 100_000_000;
 
 /// Default `trace_len` when the spec omits it — the `--quick` bench
@@ -56,39 +53,19 @@ pub const DEFAULT_TRACE_LEN: u64 = 60_000;
 /// Upper bound on a served job's inner sweep workers.
 pub const MAX_JOBS: usize = 64;
 
-/// The experiment names a job spec may request.
-pub const EXPERIMENTS: &[&str] = &[
-    "bench",
-    "table3-1",
-    "accuracy",
-    "breakdown",
-    "fig3-1",
-    "fig3-3",
-    "fig3-4",
-    "fig3-5",
-    "fig5-1",
-    "fig5-2",
-    "fig5-3",
-    "ablation-predictors",
-    "ablation-fetch",
-    "usefulness",
-];
-
-/// Whether `experiment` needs each whole trace resident in memory
-/// ([`RESIDENT_ONLY`]) and so can never exceed the in-memory bound. Every
-/// other experiment walks on-disk stores chunk by chunk beyond it, given a
-/// trace directory.
-pub fn needs_resident_trace(experiment: &str) -> bool {
-    RESIDENT_ONLY.contains(&experiment)
+/// The experiment names a job spec may request: `bench`, then every
+/// served registry entry.
+fn served_names() -> impl Iterator<Item = &'static str> {
+    std::iter::once("bench").chain(registry::ENTRIES.iter().filter(|e| e.served).map(|e| e.name))
 }
 
 /// Why a run of `experiment` cannot exceed the in-memory `bound`, for the
 /// CLI's and the daemon's error messages (the caller prefixes the
-/// offending length): a resident-only experiment never can, any other
-/// needs a trace directory.
-pub fn over_bound_reason(experiment: &str, bound: u64) -> String {
-    let why = if needs_resident_trace(experiment) {
-        format!("`{experiment}` needs whole resident traces ({})", RESIDENT_ONLY.join(", "))
+/// offending length): a `resident` one — it needs whole traces in memory —
+/// never can, any other needs a trace directory.
+pub fn over_bound_reason(experiment: &str, resident: bool, bound: u64) -> String {
+    let why = if resident {
+        format!("`{experiment}` needs whole resident traces")
     } else {
         "longer runs replay from disk and need a trace directory: pass --trace-dir DIR (or set \
          FETCHVP_TRACE_DIR)"
@@ -100,7 +77,7 @@ pub fn over_bound_reason(experiment: &str, bound: u64) -> String {
 /// A validated request to run one experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
-    /// Experiment name; one of [`EXPERIMENTS`].
+    /// Experiment name: `bench` or a served [`registry`] entry.
     pub experiment: String,
     /// Dynamic instructions traced per benchmark.
     pub trace_len: u64,
@@ -145,9 +122,10 @@ impl JobSpec {
     /// [`JobSpec::from_json`] with the server's capabilities made
     /// explicit: when `ooc_available` (the daemon has a trace directory),
     /// every experiment but the resident-only ones
-    /// ([`needs_resident_trace`]) may request up to [`MAX_TRACE_LEN_OOC`]
-    /// instructions. The error messages distinguish "too big for memory"
-    /// ([`over_bound_reason`]) from a plainly invalid value.
+    /// ([`registry::Experiment::resident`]) may request up to
+    /// [`MAX_TRACE_LEN_OOC`] instructions. The error messages distinguish
+    /// "too big for memory" ([`over_bound_reason`]) from a plainly invalid
+    /// value.
     pub fn from_json_with_limits(doc: &Json, ooc_available: bool) -> Result<JobSpec, String> {
         let pairs = doc.as_object().ok_or("job spec must be a JSON object")?;
         let mut spec = JobSpec::default();
@@ -158,10 +136,11 @@ impl JobSpec {
                 "experiment" => {
                     let name =
                         value.as_str().ok_or("field `experiment` must be a string")?.to_string();
-                    if !EXPERIMENTS.contains(&name.as_str()) {
+                    if !served_names().any(|served| served == name) {
+                        let valid: Vec<_> = served_names().collect();
                         return Err(format!(
                             "unknown experiment `{name}` (valid: {})",
-                            EXPERIMENTS.join(", ")
+                            valid.join(", ")
                         ));
                     }
                     experiment = Some(name);
@@ -193,8 +172,9 @@ impl JobSpec {
                     "field `trace_len` must be in 1..={MAX_TRACE_LEN_OOC}, got {n}"
                 ));
             }
-            if n > MAX_TRACE_LEN && (!ooc_available || needs_resident_trace(&spec.experiment)) {
-                let why = over_bound_reason(&spec.experiment, MAX_TRACE_LEN);
+            let resident = registry::find(&spec.experiment).is_some_and(|e| e.resident);
+            if n > MAX_TRACE_LEN && (!ooc_available || resident) {
+                let why = over_bound_reason(&spec.experiment, resident, MAX_TRACE_LEN);
                 return Err(format!("field `trace_len` {n} {why}"));
             }
             spec.trace_len = n;
@@ -267,35 +247,14 @@ impl JobSpec {
             }
             return JobOutcome { result: report.to_json(), metrics };
         }
-        let table = self.table(sweep);
+        let entry = registry::find(&self.experiment)
+            .unwrap_or_else(|| panic!("experiment `{}` is not registered", self.experiment));
         let result = Json::object([
             ("experiment".to_string(), Json::Str(self.experiment.clone())),
-            ("csv".to_string(), Json::Str(table.to_csv())),
+            ("csv".to_string(), Json::Str((entry.run)(sweep).to_csv())),
         ]);
         JobOutcome { result, metrics: Registry::new() }
     }
-
-    fn table(&self, sweep: &Sweep) -> Table {
-        match self.experiment.as_str() {
-            "table3-1" => table3_1::run_with(sweep).to_table(),
-            "accuracy" => accuracy::run_with(sweep).to_table(),
-            "breakdown" => breakdown::run_with(sweep).to_table(),
-            "fig3-1" => fig3_1::run_with(sweep).to_table(),
-            "fig3-3" => fig3_3::run_with(sweep).to_table(),
-            "fig3-4" => fig3_4::run_with(sweep).to_table(),
-            "fig3-5" => fig3_5::run_with(sweep).to_table(),
-            "fig5-1" => fig5_1::run_with(sweep).to_table(),
-            "fig5-2" => fig5_2::run_with(sweep).to_table(),
-            "fig5-3" => fig5_3::run_with(sweep).to_table(),
-            "ablation-predictors" => ablations::predictor_comparison_with(sweep).to_table(),
-            "ablation-fetch" => ablations::fetch_mechanisms_with(sweep).to_table(),
-            "usefulness" => usefulness::run_with(sweep).to_table(),
-            other => unreachable!("validated experiment `{other}` has no runner"),
-        }
-    }
-
-    // `table3-2` is excluded from EXPERIMENTS on purpose: it takes no
-    // config, so serving it would bypass the sweep pool for no benefit.
 }
 
 #[cfg(test)]
@@ -446,19 +405,5 @@ mod tests {
         let csv = outcome.result.get("csv").and_then(Json::as_str).expect("csv field");
         assert!(csv.lines().count() > 1, "csv should have header + rows:\n{csv}");
         assert!(outcome.metrics.is_empty());
-    }
-
-    #[test]
-    fn every_listed_experiment_is_runnable() {
-        // Guards EXPERIMENTS and the `table` dispatch staying in sync; use
-        // a tiny trace so the whole list stays fast.
-        let cfg = ExperimentConfig { trace_len: 300, ..ExperimentConfig::default() };
-        let sweep = Sweep::with_jobs(&cfg, 1);
-        for name in EXPERIMENTS {
-            let spec =
-                JobSpec { experiment: name.to_string(), trace_len: 300, ..JobSpec::default() };
-            let outcome = spec.run(&sweep);
-            assert!(outcome.result.as_object().is_some(), "{name}: result must be an object");
-        }
     }
 }

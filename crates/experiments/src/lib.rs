@@ -20,26 +20,28 @@
 //! design-space sweeps beyond the paper
 //! (prediction-table banks, window size, classification threshold,
 //! predictor kind, trace-cache partial matching). The [`mod@bench`] module is
-//! the perf-regression suite and the [`profile`] module attributes its wall
-//! time to the simulator's phases (trace generation / fetch / predict /
-//! schedule). The [`usefulness`] module measures the §3.3 mechanism
-//! directly — which correct predictions actually shorten the critical path
-//! at fetch-4 vs fetch-40 — and the [`traceviz`] module exports a
-//! cycle-accurate pipeline witness as Chrome trace-event JSON for Perfetto.
+//! the perf-regression suite. The [`usefulness`] module measures the §3.3
+//! mechanism directly — which correct predictions actually shorten the
+//! critical path at fetch-4 vs fetch-40 — and the [`traceviz`] module
+//! exports a cycle-accurate pipeline witness as Chrome trace-event JSON for
+//! Perfetto. The [`registry`] lists every figure, table and ablation once:
+//! the CLI, the daemon's job specs and the golden-identity matrix all read
+//! it.
 //!
-//! Every runner takes an [`ExperimentConfig`] (trace length and workload
-//! parameters) and returns structured results plus a markdown [`Table`] for
-//! reports. The absolute numbers depend on the synthetic workloads; the
-//! *shapes* — who wins, by roughly what factor, where the crossovers fall —
-//! are what reproduce the paper (see `EXPERIMENTS.md`).
+//! Every runner takes a [`Sweep`] (the [`ExperimentConfig`] — trace length
+//! and workload parameters — plus a shared trace cache and a worker count)
+//! and returns structured results plus a markdown [`Table`] for reports.
+//! The absolute numbers depend on the synthetic workloads; the *shapes* —
+//! who wins, by roughly what factor, where the crossovers fall — are what
+//! reproduce the paper (see `EXPERIMENTS.md`).
 //!
 //! # Example
 //!
 //! ```no_run
-//! use fetchvp_experiments::{fig3_3, ExperimentConfig};
+//! use fetchvp_experiments::{fig3_3, ExperimentConfig, Sweep};
 //!
 //! let cfg = ExperimentConfig { trace_len: 200_000, ..ExperimentConfig::default() };
-//! let result = fig3_3::run(&cfg);
+//! let result = fig3_3::run_with(&Sweep::serial(&cfg));
 //! println!("{}", result.to_table());
 //! ```
 
@@ -64,7 +66,7 @@ pub mod fig5_2;
 pub mod fig5_3;
 pub mod fuzz;
 pub mod jobspec;
-pub mod profile;
+pub mod registry;
 pub mod report;
 pub mod sweep;
 pub mod table3_1;

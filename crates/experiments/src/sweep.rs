@@ -14,7 +14,7 @@
 //!   cells. Jobs are tagged with their cell index, workers pull from a
 //!   shared queue, and results are reassembled in index order, so the
 //!   output is **bit-identical** to a serial run regardless of `--jobs`
-//!   (see `tests/determinism.rs`). With `jobs == 1` no threads are spawned
+//!   (see `tests/golden_identity.rs`). With `jobs == 1` no threads are spawned
 //!   at all — the cells run inline, in order, which doubles as the oracle
 //!   for the parallel path.
 //!
@@ -63,12 +63,6 @@ pub const SUITE_LEN: usize = 8;
 /// reasonable. Beyond it, every runner walks an on-disk store chunk by
 /// chunk ([`fetchvp_tracestore`]), which requires a trace directory.
 pub const MAX_IN_MEMORY_TRACE_LEN: u64 = 8_000_000;
-
-/// The commands that need whole traces in memory, and so stay within
-/// [`MAX_IN_MEMORY_TRACE_LEN`]: the `EventMachine` oracle, the `trace-viz`
-/// witness, and commands that trace their own programs. Every other
-/// runner is a forward walk over [`TraceSource`] windows.
-pub const RESIDENT_ONLY: [&str; 5] = ["breakdown", "trace-viz", "atlas", "run-asm", "profile"];
 
 /// Lazily generates and shares one trace source per workload.
 ///
@@ -184,14 +178,14 @@ impl TraceCache {
     }
 
     /// Panics unless this configuration's traces are resident — checked
-    /// by the [`RESIDENT_ONLY`] runners before any generation starts.
+    /// by the runners that need whole traces (the `EventMachine` oracle,
+    /// the pipeline witness) before any generation starts.
     pub(crate) fn assert_resident(&self) {
         assert!(
             self.cfg.trace_len <= MAX_IN_MEMORY_TRACE_LEN,
             "trace_len {} exceeds the in-memory limit of {MAX_IN_MEMORY_TRACE_LEN} instructions, \
-             and this runner needs whole resident traces ({})",
-            self.cfg.trace_len,
-            RESIDENT_ONLY.join(", ")
+             and this runner needs whole resident traces",
+            self.cfg.trace_len
         );
     }
 
@@ -200,10 +194,11 @@ impl TraceCache {
     ///
     /// # Panics
     ///
-    /// Panics above [`MAX_IN_MEMORY_TRACE_LEN`], before any generation.
+    /// Panics above [`MAX_IN_MEMORY_TRACE_LEN`], before any generation, and
+    /// for a stored source handed in through [`Sweep::over_sources`].
     pub fn trace(&self, index: usize) -> Arc<Trace> {
         self.assert_resident();
-        Arc::clone(self.source(index).resident().expect("sources within the bound are resident"))
+        Arc::clone(self.source(index).resident().expect("whole traces are resident"))
     }
 
     /// How many traces have actually been generated (not merely requested)
@@ -314,13 +309,32 @@ impl Sweep {
         }
     }
 
+    /// A sweep over caller-supplied trace sources, one per extended-suite
+    /// workload in suite order. Below [`MAX_IN_MEMORY_TRACE_LEN`] the cache
+    /// always hands runners resident traces; this is how a test walks
+    /// stored sources at any length and window size instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one source per workload, each
+    /// `cfg.trace_len` instructions long.
+    pub fn over_sources(cfg: &ExperimentConfig, sources: Vec<TraceSource>, jobs: usize) -> Sweep {
+        let cache = TraceCache::new(cfg);
+        assert_eq!(sources.len(), cache.slots.len(), "one source per extended-suite workload");
+        for (slot, source) in cache.slots.iter().zip(sources) {
+            assert_eq!(source.len(), cfg.trace_len, "source length must match the config");
+            slot.set(source).expect("a fresh cache has empty slots");
+        }
+        Sweep { cache: Arc::new(cache), jobs: jobs.max(1), progress: None }
+    }
+
     /// The trace directory's hit/miss/bytes counters, if one is attached.
     pub fn trace_counters(&self) -> Option<CacheCounters> {
         self.cache.trace_dir().map(|d| d.counters())
     }
 
-    /// A serial sweep (`jobs == 1`) — what the figure runners' plain
-    /// `run(cfg)` entry points use.
+    /// A serial sweep (`jobs == 1`): `run_with(&Sweep::serial(&cfg))` runs
+    /// one experiment on a fresh trace cache.
     pub fn serial(cfg: &ExperimentConfig) -> Sweep {
         Sweep::with_jobs(cfg, 1)
     }

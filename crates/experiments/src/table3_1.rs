@@ -7,7 +7,6 @@ use fetchvp_workloads::Workload;
 
 use crate::report::{num, Table};
 use crate::sweep::{fold_slots, Sweep};
-use crate::ExperimentConfig;
 
 /// Per-benchmark descriptions and trace statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,11 +44,6 @@ impl Table31Result {
     }
 }
 
-/// Runs the measurement serially.
-pub fn run(cfg: &ExperimentConfig) -> Table31Result {
-    run_with(&Sweep::serial(cfg))
-}
-
 /// Runs the measurement on a [`Sweep`], one job per benchmark.
 pub fn run_with(sweep: &Sweep) -> Table31Result {
     Table31Result { rows: sweep.per_workload(row).into_iter().map(|(_, row)| row).collect() }
@@ -74,10 +68,14 @@ pub(crate) fn row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     #[test]
     fn lists_all_eight_benchmarks_with_descriptions() {
-        let r = run(&ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 5_000,
+            ..ExperimentConfig::default()
+        }));
         assert_eq!(r.rows.len(), 8);
         assert!(r.rows.iter().all(|(_, desc, ..)| !desc.is_empty()));
         let t = r.to_table();

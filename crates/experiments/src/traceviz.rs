@@ -19,7 +19,6 @@ use fetchvp_tracing::{Event, EventKind, EventSink, Lane, Ring};
 use std::collections::BTreeMap;
 
 use crate::sweep::Sweep;
-use crate::ExperimentConfig;
 
 /// Ring capacity for the witness run: large enough to hold every event of a
 /// quick-config trace; longer runs keep the most recent window (the ring
@@ -67,15 +66,6 @@ fn machine_config() -> RealisticConfig {
         VpConfig::stride_infinite(),
     )
     .with_banked(BankedConfig::default())
-}
-
-/// Runs the witness serially on a fresh trace cache.
-pub fn run(
-    cfg: &ExperimentConfig,
-    workload: &str,
-    cycles: Option<(u64, u64)>,
-) -> Result<TraceViz, String> {
-    run_with(&Sweep::serial(cfg), workload, cycles)
 }
 
 /// Runs the witness against an existing [`Sweep`]'s trace cache.
@@ -145,22 +135,23 @@ fn append_window_occupancy(events: &mut Vec<Event>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
     use fetchvp_metrics::Json;
 
-    fn quick() -> ExperimentConfig {
-        ExperimentConfig { trace_len: 3_000, ..ExperimentConfig::default() }
+    fn quick() -> Sweep {
+        Sweep::serial(&ExperimentConfig { trace_len: 3_000, ..ExperimentConfig::default() })
     }
 
     #[test]
     fn unknown_workload_is_a_clear_error() {
-        let err = run(&quick(), "no-such-bench", None).unwrap_err();
+        let err = run_with(&quick(), "no-such-bench", None).unwrap_err();
         assert!(err.contains("unknown workload"), "{err}");
         assert!(err.contains("gcc"), "{err}");
     }
 
     #[test]
     fn produces_valid_chrome_trace_json() {
-        let viz = run(&quick(), "gcc", None).unwrap();
+        let viz = run_with(&quick(), "gcc", None).unwrap();
         assert_eq!(viz.dropped, 0);
         assert!(viz.events > 0);
         let parsed = Json::parse(&viz.json).expect("trace-viz output must parse");
@@ -170,7 +161,7 @@ mod tests {
         // Metadata for process + every lane, plus the pipeline events.
         assert!(events.len() > viz.events);
         // Untraced run produces the same simulation numbers.
-        let sweep = Sweep::serial(&quick());
+        let sweep = quick();
         let index = sweep.cache().workloads(true).iter().position(|w| w.name() == "gcc").unwrap();
         let plain = RealisticMachine::new(machine_config()).run(&sweep.cache().trace(index));
         assert_eq!(plain.cycles, viz.result.cycles);
@@ -178,8 +169,8 @@ mod tests {
 
     #[test]
     fn cycle_window_restricts_the_export() {
-        let full = run(&quick(), "gcc", None).unwrap();
-        let windowed = run(&quick(), "gcc", Some((10, 50))).unwrap();
+        let full = run_with(&quick(), "gcc", None).unwrap();
+        let windowed = run_with(&quick(), "gcc", Some((10, 50))).unwrap();
         assert!(windowed.events < full.events);
         assert!(windowed.events > 0);
     }

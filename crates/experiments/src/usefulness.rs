@@ -12,9 +12,9 @@
 
 use fetchvp_core::{IdealConfig, MachineConfig, VpConfig};
 
+use crate::mean;
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
-use crate::{mean, ExperimentConfig};
 
 /// The bandwidth-starved fetch rate (the paper's 4-wide machine).
 pub const NARROW_FETCH: usize = 4;
@@ -75,11 +75,6 @@ impl UsefulnessResult {
     }
 }
 
-/// Runs the experiment serially.
-pub fn run(cfg: &ExperimentConfig) -> UsefulnessResult {
-    run_with(&Sweep::serial(cfg))
-}
-
 /// Runs the experiment on a [`Sweep`]: per benchmark, both fetch rates
 /// advance in batched lockstep over one trace walk.
 pub fn run_with(sweep: &Sweep) -> UsefulnessResult {
@@ -114,10 +109,14 @@ pub fn run_with(sweep: &Sweep) -> UsefulnessResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExperimentConfig;
 
     #[test]
     fn covers_the_extended_suite() {
-        let r = run(&ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 5_000,
+            ..ExperimentConfig::default()
+        }));
         assert_eq!(r.rows.len(), 9);
         assert!(r.row_of("mgrid").is_some());
         for (name, row) in &r.rows {
@@ -129,7 +128,7 @@ mod tests {
 
     #[test]
     fn fetch_bandwidth_flips_the_usefulness_majority() {
-        let r = run(&ExperimentConfig::quick());
+        let r = run_with(&Sweep::serial(&ExperimentConfig::quick()));
         let narrow = r.average_useful_narrow();
         let wide = r.average_useful_wide();
         // The paper's qualitative claim: most correct predictions are
@@ -141,7 +140,10 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_benchmark_plus_average() {
-        let r = run(&ExperimentConfig { trace_len: 2_000, ..ExperimentConfig::default() });
+        let r = run_with(&Sweep::serial(&ExperimentConfig {
+            trace_len: 2_000,
+            ..ExperimentConfig::default()
+        }));
         let text = r.to_table().to_string();
         assert_eq!(text.lines().filter(|l| l.starts_with('|')).count(), 2 + 9 + 1);
     }

@@ -9,7 +9,7 @@
 //! ```
 
 use fetchvp_dfg::DataflowGraph;
-use fetchvp_experiments::{fig3_3, fig3_4, fig3_5, table3_2, ExperimentConfig};
+use fetchvp_experiments::{fig3_3, fig3_4, fig3_5, table3_2, ExperimentConfig, Sweep};
 use fetchvp_trace::trace_program;
 
 fn main() {
@@ -25,23 +25,25 @@ fn main() {
     println!("{}", table3_2::run().to_table());
 
     // -- Full-suite DID statistics over the synthetic benchmarks --
-    let cfg = ExperimentConfig { trace_len: 100_000, ..ExperimentConfig::default() };
+    // One sweep: the three figures share each benchmark's trace.
+    let sweep =
+        Sweep::serial(&ExperimentConfig { trace_len: 100_000, ..ExperimentConfig::default() });
 
-    let f33 = fig3_3::run(&cfg);
+    let f33 = fig3_3::run_with(&sweep);
     println!("{}", f33.to_table());
     println!(
         "every benchmark's average DID exceeds a 4-wide fetch: {}\n",
         f33.rows.iter().all(|(_, d)| *d > 4.0)
     );
 
-    let f34 = fig3_4::run(&cfg);
+    let f34 = fig3_4::run_with(&sweep);
     println!("{}", f34.to_table());
     println!(
         "average fraction of dependencies with DID >= 4: {:.0}% (paper: ~60%)\n",
         100.0 * f34.average_long_fraction()
     );
 
-    let f35 = fig3_5::run(&cfg);
+    let f35 = fig3_5::run_with(&sweep);
     println!("{}", f35.to_table());
     println!(
         "average predictable-and-short fraction: {:.0}% (paper: ~23%)",

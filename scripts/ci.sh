@@ -38,6 +38,15 @@ cargo test $OFFLINE -q
 echo "== batch-vs-serial differential"
 cargo test $OFFLINE -q -p fetchvp-experiments --test batch_vs_serial
 
+# "Outputs unchanged": every registry experiment, the four --chart figures
+# and bench's counter sections against tests/golden.json, along every
+# execution path (--jobs, progress observer, stored windows, JobSpec::run,
+# served fresh/cached/proxied through a two-member fleet). Also covered by
+# the workspace test run above; named here so an output change fails
+# loudly.
+echo "== golden identity matrix"
+cargo test $OFFLINE -q -p fetchvp-server --test golden_identity
+
 # HTTP reader regressions: trailing keep-alive bytes, exact body reads and
 # duplicate Content-Length handling.
 echo "== http reader regressions"

@@ -1,6 +1,8 @@
 //! Reproducibility: identical seeds produce bit-identical results at every
 //! level of the stack — the property that makes the experiment tables in
-//! `EXPERIMENTS.md` reproducible on any machine.
+//! `EXPERIMENTS.md` reproducible on any machine. The experiments' own
+//! outputs are pinned byte for byte, across `--jobs` and every other
+//! execution path, by `tests/golden_identity.rs`.
 
 use std::sync::Arc;
 
@@ -8,9 +10,7 @@ use fetchvp_core::{
     BtbKind, FrontEnd, IdealConfig, IdealMachine, RealisticConfig, RealisticMachine, VpConfig,
 };
 use fetchvp_dfg::analyze;
-use fetchvp_experiments::{
-    ablations, fig3_1, fig5_3, for_each_trace, ExperimentConfig, Sweep, TraceCache,
-};
+use fetchvp_experiments::{for_each_trace, ExperimentConfig, TraceCache};
 use fetchvp_fetch::TraceCacheConfig;
 use fetchvp_trace::trace_program;
 use fetchvp_workloads::{suite, WorkloadParams};
@@ -52,37 +52,6 @@ fn analyses_are_identical_across_runs() {
     let w = &suite(&WorkloadParams::default())[7]; // vortex
     let trace = trace_program(w.program(), 20_000);
     assert_eq!(analyze(&trace), analyze(&trace));
-}
-
-#[test]
-fn experiment_runners_are_identical_across_runs() {
-    let cfg = ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() };
-    assert_eq!(fig3_1::run(&cfg), fig3_1::run(&cfg));
-    assert_eq!(fig5_3::run(&cfg), fig5_3::run(&cfg));
-}
-
-/// The tentpole guarantee: a parallel sweep's rendered tables are
-/// byte-identical to the serial (`--jobs 1`) oracle.
-#[test]
-fn parallel_sweeps_are_byte_identical_to_serial() {
-    let cfg = ExperimentConfig { trace_len: 5_000, ..ExperimentConfig::default() };
-    let serial = Sweep::with_jobs(&cfg, 1);
-    let parallel = Sweep::with_jobs(&cfg, 8);
-
-    assert_eq!(
-        fig3_1::run_with(&serial).to_table().to_string(),
-        fig3_1::run_with(&parallel).to_table().to_string(),
-        "fig3-1 tables diverge between --jobs 1 and --jobs 8"
-    );
-    assert_eq!(
-        ablations::window_sweep_with(&serial).to_table().to_string(),
-        ablations::window_sweep_with(&parallel).to_table().to_string(),
-        "ablation-window tables diverge between --jobs 1 and --jobs 8"
-    );
-    // Both sweeps traced each integer benchmark exactly once, even with 8
-    // workers racing over two experiments.
-    assert_eq!(serial.cache().generated(), 8);
-    assert_eq!(parallel.cache().generated(), 8);
 }
 
 /// The trace cache hands out the *same* trace (same allocation, not just

@@ -3,16 +3,16 @@
 
 use fetchvp_experiments::{
     fig3_1, fig3_3, fig3_4, fig3_5, fig5_1, fig5_2, fig5_3, table3_1, table3_2, usefulness,
-    ExperimentConfig,
+    ExperimentConfig, Sweep,
 };
 
-fn cfg() -> ExperimentConfig {
-    ExperimentConfig { trace_len: 40_000, ..ExperimentConfig::default() }
+fn sweep() -> Sweep {
+    Sweep::serial(&ExperimentConfig { trace_len: 40_000, ..ExperimentConfig::default() })
 }
 
 #[test]
 fn table3_1_lists_the_suite_with_plausible_statistics() {
-    let r = table3_1::run(&cfg());
+    let r = table3_1::run_with(&sweep());
     assert_eq!(r.rows.len(), 8);
     for (name, _, instrs, taken, vp, run) in &r.rows {
         assert_eq!(*instrs, 40_000, "{name}");
@@ -25,7 +25,7 @@ fn table3_1_lists_the_suite_with_plausible_statistics() {
 
 #[test]
 fn figure3_1_fetch_bandwidth_gates_value_prediction() {
-    let r = fig3_1::run(&cfg());
+    let r = fig3_1::run_with(&sweep());
     let avg = r.averages();
     // §3.2: "When the instruction fetch rate is limited to up to 4
     // instructions per cycle the speedup is barely noticeable".
@@ -57,7 +57,7 @@ fn table3_2_reproduces_the_pipeline_walkthrough() {
 
 #[test]
 fn figure3_3_average_did_exceeds_current_fetch_widths() {
-    let r = fig3_3::run(&cfg());
+    let r = fig3_3::run_with(&sweep());
     for (name, did) in &r.rows {
         assert!(*did > 4.0, "{name}: avg DID {did:.2}");
     }
@@ -65,7 +65,7 @@ fn figure3_3_average_did_exceeds_current_fetch_widths() {
 
 #[test]
 fn figure3_4_most_dependencies_are_long() {
-    let r = fig3_4::run(&cfg());
+    let r = fig3_4::run_with(&sweep());
     // §3.3: "approximately 60% (on average) of the true-data dependencies
     // span across instructions in a greater or equal distance of 4".
     let avg = r.average_long_fraction();
@@ -74,7 +74,7 @@ fn figure3_4_most_dependencies_are_long() {
 
 #[test]
 fn figure3_5_predictability_profile_matches_the_paper() {
-    let r = fig3_5::run(&cfg());
+    let r = fig3_5::run_with(&sweep());
     // §4.1: m88ksim ~40% and vortex >55% predictable-long; others 20-25%
     // (we accept a wider band for the synthetic stand-ins).
     let long = |n: &str| r.row_of(n).unwrap().predictable_long;
@@ -91,7 +91,7 @@ fn figure3_5_predictability_profile_matches_the_paper() {
 
 #[test]
 fn figure5_1_taken_branch_bandwidth_gates_value_prediction() {
-    let r = fig5_1::run(&cfg());
+    let r = fig5_1::run_with(&sweep());
     let avg = r.averages();
     // §5: "when we allow fetching up to 1 taken branch each cycle the
     // average speedup is barely noticeable (approximately 3%)".
@@ -106,9 +106,9 @@ fn figure5_1_taken_branch_bandwidth_gates_value_prediction() {
 
 #[test]
 fn figure5_2_realistic_btb_loses_part_of_the_gain() {
-    let c = cfg();
-    let ideal = fig5_1::run(&c);
-    let real = fig5_2::run(&c);
+    let sweep = sweep();
+    let ideal = fig5_1::run_with(&sweep);
+    let real = fig5_2::run_with(&sweep);
     let (ia, ra) = (ideal.averages(), real.averages());
     // §5: n=1 still ~3%; and at n=4 the speedup drops substantially
     // relative to the ideal BTB ("by approximately 30%").
@@ -124,7 +124,7 @@ fn figure5_2_realistic_btb_loses_part_of_the_gain() {
 
 #[test]
 fn figure5_3_trace_cache_value_prediction() {
-    let r = fig5_3::run(&cfg());
+    let r = fig5_3::run_with(&sweep());
     let (two_level, ideal) = r.averages();
     // §5: "when using a trace cache, value prediction itself can increase
     // the performance by more than 10% (on average)" [2-level BTB], and
@@ -135,7 +135,7 @@ fn figure5_3_trace_cache_value_prediction() {
 
 #[test]
 fn usefulness_breakdown_follows_fetch_bandwidth() {
-    let r = usefulness::run(&cfg());
+    let r = usefulness::run_with(&sweep());
     assert_eq!(r.rows.len(), 9);
     // §3.3's mechanism: bandwidth converts correct predictions from
     // useless to useful, on average and for every benchmark.

@@ -1,9 +1,9 @@
-//! Disk-backed sweeps must be invisible in the results: a figure run
-//! through the content-addressed trace cache is byte-identical to the
-//! in-memory run, a warm cache regenerates nothing, and crossing the
+//! Disk-backed sweeps: the content-addressed trace cache generates each
+//! store once and a warm cache regenerates nothing, and crossing the
 //! in-memory trace-length bound without a trace directory — or with a
 //! runner that needs whole resident traces — is an explicit panic, not an
-//! OOM.
+//! OOM. (That walking stored sources leaves every output byte-identical is
+//! the windowed axis of `tests/golden_identity.rs`.)
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -25,17 +25,15 @@ fn small_config() -> ExperimentConfig {
 }
 
 #[test]
-fn disk_backed_sweeps_match_in_memory_results_and_stay_warm() {
+fn disk_backed_sweeps_generate_once_and_stay_warm() {
     let cfg = small_config();
     let root = scratch("fig31");
 
-    let mem = fig3_1::run_with(&Sweep::with_jobs(&cfg, 1)).to_table().to_csv();
-
-    // Cold disk cache: same figure, every trace generated to disk once.
+    // Cold disk cache: every trace generated to disk once.
     let cold_dir = Arc::new(TraceDir::new(&root));
     let cold_sweep = Sweep::with_trace_dir(&cfg, Some(Arc::clone(&cold_dir)), 1);
-    let cold = fig3_1::run_with(&cold_sweep).to_table().to_csv();
-    assert_eq!(mem, cold, "disk-backed replay must not change the figure");
+    fig3_1::run_with(&cold_sweep);
+    assert_eq!(cold_sweep.cache().generated(), 8, "one store per suite workload");
     let counters = cold_dir.counters();
     assert!(counters.misses > 0 && counters.hits == 0, "cold cache generates: {counters:?}");
     assert!(counters.bytes > 0);
@@ -43,8 +41,7 @@ fn disk_backed_sweeps_match_in_memory_results_and_stay_warm() {
     // Warm cache, fresh process state: zero generation, all hits.
     let warm_dir = Arc::new(TraceDir::new(&root));
     let warm_sweep = Sweep::with_trace_dir(&cfg, Some(Arc::clone(&warm_dir)), 1);
-    let warm = fig3_1::run_with(&warm_sweep).to_table().to_csv();
-    assert_eq!(mem, warm);
+    fig3_1::run_with(&warm_sweep);
     assert_eq!(warm_sweep.cache().generated(), 0, "warm cache must not regenerate");
     let counters = warm_dir.counters();
     assert_eq!(counters.misses, 0, "{counters:?}");

@@ -30,59 +30,11 @@ use std::time::{Duration, Instant};
 
 use fetchvp_experiments::{JobSpec, Sweep};
 use fetchvp_metrics::Json;
-use fetchvp_server::{Server, ServerConfig};
+use fetchvp_server::ServerConfig;
 use fetchvp_tracestore::TraceDir;
 
-/// A parsed HTTP response: status code, headers, body.
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-    }
-
-    fn json(&self) -> Json {
-        Json::parse(&self.body).unwrap_or_else(|e| panic!("bad JSON body: {e}\n{}", self.body))
-    }
-}
-
-/// One HTTP/1.1 exchange over a fresh connection.
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect to server");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    stream.set_write_timeout(Some(Duration::from_secs(60))).unwrap();
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write request head");
-    stream.write_all(body.as_bytes()).expect("write request body");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    parse_reply(&raw)
-}
-
-fn parse_reply(raw: &[u8]) -> Reply {
-    let text = String::from_utf8(raw.to_vec()).expect("response is UTF-8");
-    let (head, body) = text.split_once("\r\n\r\n").expect("response has a blank line");
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {status_line}"));
-    let headers = lines
-        .filter_map(|line| line.split_once(": "))
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    Reply { status, headers, body: body.to_string() }
-}
+mod common;
+use common::{request, shutdown, start, submit, wait_for_job};
 
 /// What a full read of one `GET /jobs/<id>/events` stream produced.
 struct StreamedEvents {
@@ -196,43 +148,6 @@ fn assert_stream_invariants(streamed: &StreamedEvents) {
         Some("done"),
         "stream must end with the terminal event"
     );
-}
-
-/// Polls `GET /jobs/<id>` until the job reaches a terminal status.
-fn wait_for_job(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let reply = request(addr, "GET", &format!("/jobs/{id}"), None);
-        assert_eq!(reply.status, 200, "job {id} lookup failed: {}", reply.body);
-        let doc = reply.json();
-        let status = doc.get("status").and_then(Json::as_str).expect("status field").to_string();
-        if status == "done" || status == "failed" {
-            return doc;
-        }
-        assert!(Instant::now() < deadline, "job {id} stuck in `{status}`");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Binds a server on an ephemeral loopback port and runs it on a thread.
-fn start(config: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(ServerConfig { addr: "127.0.0.1:0".to_string(), ..config })
-        .expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run());
-    (addr, handle)
-}
-
-fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<std::io::Result<()>>) {
-    let reply = request(addr, "POST", "/shutdown", None);
-    assert_eq!(reply.status, 200, "shutdown refused: {}", reply.body);
-    handle.join().expect("server thread").expect("server run() returned an error");
-}
-
-fn submit(addr: SocketAddr, spec: &str) -> u64 {
-    let reply = request(addr, "POST", "/run", Some(spec));
-    assert_eq!(reply.status, 202, "submit rejected: {}", reply.body);
-    reply.json().get("job").and_then(Json::as_u64).expect("job id")
 }
 
 #[test]

@@ -39,7 +39,8 @@ fn log_filter_grammar() {
 
 #[test]
 fn trace_viz_emits_valid_chrome_trace_json() {
-    let viz = traceviz::run(&quick(), "compress", None).expect("known workload");
+    let viz =
+        traceviz::run_with(&Sweep::serial(&quick()), "compress", None).expect("known workload");
     let doc = Json::parse(&viz.json).expect("output must be valid JSON");
     let Some(Json::Array(events)) = doc.get("traceEvents") else {
         panic!("missing traceEvents array");
