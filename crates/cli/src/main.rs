@@ -10,11 +10,11 @@
 //! that have a bar chart.
 //!
 //! trace files (the Shade workflow):
-//!   save-trace <benchmark> <file>   capture a trace to disk (chunked FVPS format,
-//!                                   streamed — works at the paper's 100M scale)
 //!   trace-gen <benchmark>           populate the content-addressed trace cache
 //!                                   (--trace-dir DIR or $FETCHVP_TRACE_DIR;
-//!                                   --out FILE streams to a plain file instead)
+//!                                   --out FILE captures to a plain file instead);
+//!                                   chunked FVPS format, streamed — works at the
+//!                                   paper's 100M scale
 //!   trace-info <file>               print a saved trace's statistics (streams
 //!                                   the store chunk by chunk)
 //!   run-asm <file.s>                assemble, trace and simulate a program
@@ -31,12 +31,10 @@
 //!                                   export a cycle-accurate pipeline witness as
 //!                                   Chrome trace-event JSON (Perfetto-loadable)
 //!
-//! benchmarking (the perf-regression loop):
-//!   bench [--quick] [--repeat N] [--out FILE]
-//!                                   run the workload suite (best-of-N cell timing),
-//!                                   write BENCH_<date>.json
-//!   bench-compare <old> <new> [--threshold PCT]
-//!                                   diff two reports, exit nonzero on regression
+//! counters:
+//!   bench                           run the workload suite through every counted
+//!                                   subsystem and print its JSON counter report
+//!                                   (a pure function of --trace-len and --seed)
 //!
 //! serving (simulation as a service):
 //!   serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
@@ -45,12 +43,6 @@
 //!                                   --peers lists every fleet member (this
 //!                                   process's --addr must appear in it) and
 //!                                   shards jobs across them by spec hash
-//!   loadgen [--addr HOST:PORT,...] [--rps N] [--duration SECONDS]
-//!           [--spec-mix FILE] [--out FILE]
-//!                                   open-loop load generator: offered-rate
-//!                                   POST /run traffic, reports achieved RPS
-//!                                   and p50/p95/p99 latency overall and per
-//!                                   response class (2xx / 503 / proxied)
 //!   top [--addr HOST:PORT] [--interval SECONDS] [--count N]
 //!                                   live fleet dashboard over GET
 //!                                   /fleet/metrics: per-member RPS, queue
@@ -83,7 +75,6 @@ use fetchvp_experiments::{
     atlas, bench, default_jobs, fuzz, jobspec, ExperimentConfig, Sweep, MAX_IN_MEMORY_TRACE_LEN,
 };
 use fetchvp_isa::parse_program;
-use fetchvp_metrics::Json;
 use fetchvp_trace::trace_program;
 use fetchvp_tracestore::{
     stream_program_to_store, stream_store_stats, TraceDir, TraceKey, TraceStore, DEFAULT_CHUNK_LEN,
@@ -106,16 +97,14 @@ fn usage() -> String {
                    [--trace-dir DIR]
 experiments: {}
 ablations:   {}
-trace files: save-trace <benchmark> <file> / trace-gen <benchmark> \
-             [--trace-dir DIR | --out FILE] / trace-info <file> / run-asm <file.s>
+trace files: trace-gen <benchmark> [--trace-dir DIR | --out FILE]
+             trace-info <file> / run-asm <file.s>
 out-of-core: --trace-dir DIR (or $FETCHVP_TRACE_DIR) walks traces over 8M instructions
              from disk, up to 100M (not {})
 tracing:     trace-viz <workload> [--cycles A..B] [--out FILE]
-benchmarks:  bench [--quick] [--repeat N] [--out FILE] / bench-compare \
-             <old.json> <new.json> [--threshold PCT]
+counters:    bench (the suite's JSON counter report)
 serving:     serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--trace-dir DIR]
-             [--result-cache N] [--peers HOST:PORT,...] / loadgen \
-             [--addr HOST:PORT,...] [--rps N] [--duration SECONDS] [--spec-mix FILE]
+             [--result-cache N] [--peers HOST:PORT,...]
              top [--addr HOST:PORT] [--interval SECONDS] [--count N]
 fuzzing:     fuzz [--cases N] [--seed S] [--max-len N] [--replay TUPLE] [--out FILE]
              atlas [family] [--trace-len N]
@@ -148,20 +137,8 @@ fn wrapped<'a>(words: impl IntoIterator<Item = &'a str>) -> String {
 
 /// Every subcommand besides the registry's experiments and group commands,
 /// for `did you mean …` suggestions on typos.
-const COMMANDS: &[&str] = &[
-    "save-trace",
-    "trace-gen",
-    "trace-info",
-    "run-asm",
-    "trace-viz",
-    "bench",
-    "bench-compare",
-    "serve",
-    "loadgen",
-    "top",
-    "fuzz",
-    "atlas",
-];
+const COMMANDS: &[&str] =
+    &["trace-gen", "trace-info", "run-asm", "trace-viz", "bench", "serve", "top", "fuzz", "atlas"];
 
 /// Every flag the parser understands, for used-flag tracking.
 const KNOWN_FLAGS: &[&str] = &[
@@ -170,10 +147,7 @@ const KNOWN_FLAGS: &[&str] = &[
     "--jobs",
     "--csv",
     "--chart",
-    "--quick",
     "--out",
-    "--repeat",
-    "--threshold",
     "--cycles",
     "--addr",
     "--workers",
@@ -184,9 +158,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--trace-dir",
     "--result-cache",
     "--peers",
-    "--rps",
-    "--duration",
-    "--spec-mix",
     "--interval",
     "--count",
 ];
@@ -213,21 +184,15 @@ fn command_spec(name: &str) -> Option<CommandSpec> {
     let spec = |flags, positionals| Some(CommandSpec { flags, positionals, resident: false });
     let resident = |flags, positionals| Some(CommandSpec { flags, positionals, resident: true });
     match name {
-        "save-trace" => spec(&["--trace-len", "--seed"], 2),
         "trace-gen" => spec(&["--trace-len", "--seed", "--trace-dir", "--out"], 1),
         "trace-info" => spec(&[], 1),
         "run-asm" => resident(&["--trace-len", "--seed"], 1),
         "trace-viz" => resident(&["--trace-len", "--seed", "--jobs", "--cycles", "--out"], 1),
-        "bench" => spec(
-            &["--trace-len", "--seed", "--jobs", "--quick", "--repeat", "--out", "--trace-dir"],
-            0,
-        ),
-        "bench-compare" => spec(&["--threshold"], 2),
+        "bench" => spec(&["--trace-len", "--seed", "--jobs", "--trace-dir"], 0),
         "serve" => spec(
             &["--addr", "--workers", "--queue-depth", "--trace-dir", "--result-cache", "--peers"],
             0,
         ),
-        "loadgen" => spec(&["--addr", "--rps", "--duration", "--spec-mix", "--out"], 0),
         "top" => spec(&["--addr", "--interval", "--count"], 0),
         "fuzz" => spec(&["--cases", "--seed", "--max-len", "--replay", "--out"], 0),
         "atlas" => resident(&["--trace-len", "--seed", "--csv"], 1),
@@ -286,8 +251,8 @@ fn validate_scale(opts: &Options) -> Result<(), String> {
             jobspec::MAX_TRACE_LEN_OOC
         ));
     }
-    // save-trace and trace-gen stream straight to disk at any size.
-    let streams = matches!(opts.experiment.as_str(), "save-trace" | "trace-gen");
+    // trace-gen streams straight to disk at any size.
+    let streams = opts.experiment == "trace-gen";
     let resident = command_spec(&opts.experiment).is_some_and(|spec| spec.resident);
     let replays = opts.resolved_trace_dir().is_some() && !resident;
     if n <= MAX_IN_MEMORY_TRACE_LEN || streams || replays {
@@ -340,14 +305,8 @@ struct Options {
     jobs: usize,
     csv: bool,
     chart: bool,
-    /// `bench`: use the reduced quick configuration.
-    quick: bool,
-    /// `bench`: output path (default `BENCH_<date>.json`).
+    /// `trace-gen`, `trace-viz`, `fuzz`: output path.
     out: Option<String>,
-    /// `bench`: timing repetitions per cell (best wall time kept).
-    repeat: usize,
-    /// `bench-compare`: tolerated throughput drop, percent.
-    threshold: f64,
     /// `trace-viz`: restrict the export to events overlapping this
     /// inclusive cycle window.
     cycles: Option<(u64, u64)>,
@@ -359,14 +318,9 @@ struct Options {
     queue_depth: Option<usize>,
     /// `serve`: result-cache capacity in entries (0 disables).
     result_cache: Option<usize>,
-    /// `serve`: the full fleet membership list, comma-separated.
-    peers: Option<String>,
-    /// `loadgen`: offered request rate.
-    rps: Option<u64>,
-    /// `loadgen`: how long to sustain the offered rate, seconds.
-    duration: Option<u64>,
-    /// `loadgen`: JSON file holding the spec mix (array of job specs).
-    spec_mix: Option<String>,
+    /// `serve`: the full fleet membership list (`--peers` split at commas,
+    /// each member trimmed); empty means standalone.
+    peers: Vec<String>,
     /// `top`: seconds between dashboard refreshes.
     interval: Option<u64>,
     /// `top`: stop after this many refreshes (default: run until ^C).
@@ -404,19 +358,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut jobs = default_jobs();
     let mut csv = false;
     let mut chart = false;
-    let mut quick = false;
     let mut out = None;
-    let mut repeat = 3;
-    let mut threshold = 100.0 * bench::DEFAULT_THRESHOLD;
     let mut cycles = None;
     let mut addr = None;
     let mut workers = None;
     let mut queue_depth = None;
     let mut result_cache = None;
-    let mut peers = None;
-    let mut rps = None;
-    let mut duration = None;
-    let mut spec_mix = None;
+    let mut peers = Vec::new();
     let mut interval = None;
     let mut count = None;
     let mut cases = fuzz::FuzzOptions::default().cases;
@@ -432,7 +380,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match arg.as_str() {
             "--trace-len" => {
                 let v = it.next().ok_or("--trace-len needs a value")?;
-                config.trace_len = v.parse().map_err(|_| format!("bad trace length `{v}`"))?;
+                config.trace_len = v
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or(format!("bad trace length `{v}` (need an integer >= 1)"))?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -449,26 +401,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--csv" => csv = true,
             "--chart" => chart = true,
-            "--quick" => quick = true,
             "--out" => {
                 let v = it.next().ok_or("--out needs a value")?;
                 out = Some(v.clone());
-            }
-            "--repeat" => {
-                let v = it.next().ok_or("--repeat needs a value")?;
-                repeat = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("bad repeat count `{v}` (need an integer >= 1)"))?;
-            }
-            "--threshold" => {
-                let v = it.next().ok_or("--threshold needs a value")?;
-                threshold = v
-                    .parse()
-                    .ok()
-                    .filter(|&t: &f64| t.is_finite() && t >= 0.0)
-                    .ok_or(format!("bad threshold `{v}` (need a percentage >= 0)"))?;
             }
             "--cycles" => {
                 let v = it.next().ok_or("--cycles needs a value (FIRST..LAST)")?;
@@ -530,29 +465,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--peers" => {
                 let v = it.next().ok_or("--peers needs a value (HOST:PORT,HOST:PORT,...)")?;
-                peers = Some(v.clone());
-            }
-            "--rps" => {
-                let v = it.next().ok_or("--rps needs a value")?;
-                rps = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &u64| n >= 1)
-                        .ok_or(format!("bad request rate `{v}` (need an integer >= 1)"))?,
-                );
-            }
-            "--duration" => {
-                let v = it.next().ok_or("--duration needs a value (seconds)")?;
-                duration = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &u64| n >= 1)
-                        .ok_or(format!("bad duration `{v}` (need whole seconds >= 1)"))?,
-                );
-            }
-            "--spec-mix" => {
-                let v = it.next().ok_or("--spec-mix needs a JSON file path")?;
-                spec_mix = Some(v.clone());
+                peers = v.split(',').map(|p| p.trim().to_string()).collect();
             }
             "--interval" => {
                 let v = it.next().ok_or("--interval needs a value (seconds)")?;
@@ -590,19 +503,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         jobs,
         csv,
         chart,
-        quick,
         out,
-        repeat,
-        threshold,
         cycles,
         addr,
         workers,
         queue_depth,
         result_cache,
         peers,
-        rps,
-        duration,
-        spec_mix,
         interval,
         count,
         cases,
@@ -641,39 +548,35 @@ fn write_output(out: &mut impl Write, text: &str) -> Result<bool, String> {
     }
 }
 
-fn save_trace(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
-    let [bench, path] = args else {
-        return Err("save-trace needs: <benchmark> <file>".into());
-    };
-    let workload =
-        by_name(bench, &cfg.workloads).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
-    // Streamed generation: the trace goes to disk chunk by chunk, so this
-    // works at the paper's 100M scale without materializing anything.
-    let file = File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
-    let summary = stream_program_to_store(
-        workload.program(),
-        bench,
-        cfg.trace_len,
-        DEFAULT_CHUNK_LEN,
-        BufWriter::new(file),
-    )
-    .map_err(|e| format!("write failed: {e}"))?;
-    println!(
-        "wrote {} instructions of `{bench}` to {path} ({} chunk(s), {} bytes)",
-        summary.instructions, summary.chunks, summary.bytes
-    );
-    Ok(())
-}
-
 fn trace_gen(cfg: &ExperimentConfig, opts: &Options) -> Result<(), String> {
     let [bench] = opts.positionals.as_slice() else {
         return Err("trace-gen needs: <benchmark> [--trace-dir DIR | --out FILE]".into());
     };
-    if let Some(path) = &opts.out {
-        return save_trace(cfg, &[bench.clone(), path.clone()]);
+    if opts.out.is_some() && opts.trace_dir.is_some() {
+        return Err("trace-gen writes to --trace-dir DIR or to --out FILE, not both".into());
     }
     let workload =
         by_name(bench, &cfg.workloads).ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
+    // Streamed generation: the trace goes to disk chunk by chunk, so this
+    // works at the paper's 100M scale without materializing anything.
+    let stream = |file: File| {
+        stream_program_to_store(
+            workload.program(),
+            bench,
+            cfg.trace_len,
+            DEFAULT_CHUNK_LEN,
+            BufWriter::new(file),
+        )
+    };
+    if let Some(path) = &opts.out {
+        let file = File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
+        let summary = stream(file).map_err(|e| format!("write failed: {e}"))?;
+        println!(
+            "wrote {} instructions of `{bench}` to {path} ({} chunk(s), {} bytes)",
+            summary.instructions, summary.chunks, summary.bytes
+        );
+        return Ok(());
+    }
     let root = opts.resolved_trace_dir().or_else(TraceDir::default_root).ok_or(
         "trace-gen needs a destination: --trace-dir DIR, $FETCHVP_TRACE_DIR, or --out FILE \
          (no home directory found for the default ~/.cache/fetchvp)",
@@ -681,17 +584,7 @@ fn trace_gen(cfg: &ExperimentConfig, opts: &Options) -> Result<(), String> {
     let dir = TraceDir::new(root);
     let key = TraceKey::benchmark(bench, cfg.workloads.seed, cfg.workloads.scale, cfg.trace_len);
     let store = dir
-        .open_or_create(&key, |path| {
-            let file = File::create(path)?;
-            stream_program_to_store(
-                workload.program(),
-                bench,
-                cfg.trace_len,
-                DEFAULT_CHUNK_LEN,
-                BufWriter::new(file),
-            )
-            .map(|_| ())
-        })
+        .open_or_create(&key, |path| stream(File::create(path)?).map(drop))
         .map_err(|e| format!("cannot populate trace cache: {e}"))?;
     let counters = dir.counters();
     let state = if counters.hits > 0 { "already cached" } else { "generated" };
@@ -749,29 +642,11 @@ fn run_asm(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_bench(sweep: &Sweep, opts: &Options) -> Result<(), String> {
-    let report = bench::run_repeat(sweep, opts.quick, opts.repeat);
-    let path = opts.out.clone().unwrap_or_else(|| report.filename());
-    let text = report.to_json().to_json() + "\n";
-    std::fs::write(&path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!(
-        "bench: {} workloads, {} simulated instructions in {:.2}s ({:.0} instr/s)",
-        report.workloads.len(),
-        report.total_instructions(),
-        report.wall_seconds,
-        report.sim_ips()
-    );
-    for w in &report.workloads {
-        println!("  {:<10} {:>12} instrs  {:>12.0} instr/s", w.name, w.instructions, w.sim_ips());
-    }
-    if let Some(c) = &report.trace_cache {
-        println!(
-            "trace cache: {} hit(s), {} miss(es), {} bytes written",
-            c.hits, c.misses, c.bytes
-        );
-    }
-    println!("wrote {path}");
-    Ok(())
+/// Prints the bench report: the same bytes as the served `bench` result,
+/// plus a final newline.
+fn run_bench(sweep: &Sweep) -> Result<(), String> {
+    let text = bench::run_with(sweep).to_json().to_json() + "\n";
+    write_output(&mut std::io::stdout().lock(), &text).map(drop)
 }
 
 fn run_trace_viz(sweep: &Sweep, opts: &Options) -> Result<(), String> {
@@ -790,43 +665,6 @@ fn run_trace_viz(sweep: &Sweep, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run_bench_compare(opts: &Options) -> Result<(), String> {
-    let [old_path, new_path] = opts.positionals.as_slice() else {
-        return Err("bench-compare needs: <old.json> <new.json>".into());
-    };
-    // A missing baseline is the expected state of a fresh checkout (the
-    // first bench run creates it), not a regression: warn and pass.
-    if !std::path::Path::new(old_path.as_str()).exists() {
-        eprintln!(
-            "warning: baseline `{old_path}` not found — nothing to compare against; \
-             run `fetchvp bench --out {old_path}` to create one"
-        );
-        println!("OK: no baseline, comparison skipped");
-        return Ok(());
-    }
-    let load = |path: &str| -> Result<Json, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let outcome = bench::compare(&load(old_path)?, &load(new_path)?, opts.threshold / 100.0)?;
-    for warning in &outcome.warnings {
-        eprintln!("warning: {warning}");
-    }
-    for line in &outcome.lines {
-        println!("{line}");
-    }
-    if outcome.passed() {
-        println!("OK: no throughput regression beyond {:.1}%", opts.threshold);
-        Ok(())
-    } else {
-        for regression in &outcome.regressions {
-            eprintln!("REGRESSION: {regression}");
-        }
-        Err(format!("{} throughput regression(s)", outcome.regressions.len()))
-    }
-}
-
 fn run_serve(opts: &Options) -> Result<(), String> {
     let mut config = fetchvp_server::ServerConfig::default();
     if let Some(addr) = &opts.addr {
@@ -841,9 +679,7 @@ fn run_serve(opts: &Options) -> Result<(), String> {
     if let Some(entries) = opts.result_cache {
         config.result_cache_entries = entries;
     }
-    if let Some(peers) = &opts.peers {
-        config.peers = peers.split(',').map(|p| p.trim().to_string()).collect();
-    }
+    config.peers = opts.peers.clone();
     config.trace_dir = opts.resolved_trace_dir();
     if let Some(dir) = &config.trace_dir {
         println!("trace cache: {} (out-of-core jobs enabled)", dir.display());
@@ -862,52 +698,6 @@ fn run_serve(opts: &Options) -> Result<(), String> {
     );
     server.run().map_err(|e| format!("server failed: {e}"))?;
     println!("fetchvp-server shut down cleanly");
-    Ok(())
-}
-
-/// Reads a `--spec-mix` file: a JSON array of job-spec objects (a single
-/// object is accepted as a mix of one).
-fn read_spec_mix(path: &str) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let specs: Vec<String> = match &doc {
-        Json::Array(items) => items.iter().map(Json::to_json).collect(),
-        _ => vec![doc.to_json()],
-    };
-    if specs.is_empty() {
-        return Err(format!("{path}: the spec mix is empty"));
-    }
-    Ok(specs)
-}
-
-fn run_loadgen(opts: &Options) -> Result<(), String> {
-    let mut options = fetchvp_server::loadgen::LoadgenOptions::default();
-    if let Some(addr) = &opts.addr {
-        options.targets = addr.split(',').map(|t| t.trim().to_string()).collect();
-    }
-    if let Some(rps) = opts.rps {
-        options.rps = rps;
-    }
-    if let Some(seconds) = opts.duration {
-        options.duration = std::time::Duration::from_secs(seconds);
-    }
-    if let Some(path) = &opts.spec_mix {
-        options.specs = read_spec_mix(path)?;
-    }
-    println!(
-        "loadgen: {} rps for {:?} against {} (mix of {} spec(s))",
-        options.rps,
-        options.duration,
-        options.targets.join(", "),
-        options.specs.len()
-    );
-    let report = fetchvp_server::loadgen::run(&options)?;
-    println!("{}", report.render());
-    if let Some(path) = &opts.out {
-        let text = report.to_json().to_json() + "\n";
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("wrote {path}");
-    }
     Ok(())
 }
 
@@ -986,15 +776,12 @@ fn run_one(name: &str, sweep: &Sweep, opts: &Options) -> Result<(), String> {
     let cfg = sweep.config();
     let positionals = opts.positionals.as_slice();
     match name {
-        "save-trace" => save_trace(cfg, positionals),
         "trace-gen" => trace_gen(cfg, opts),
         "trace-info" => trace_info(positionals),
         "run-asm" => run_asm(cfg, positionals),
-        "bench" => run_bench(sweep, opts),
-        "bench-compare" => run_bench_compare(opts),
+        "bench" => run_bench(sweep),
         "trace-viz" => run_trace_viz(sweep, opts),
         "serve" => run_serve(opts),
-        "loadgen" => run_loadgen(opts),
         "top" => run_top(opts),
         "fuzz" => run_fuzz(opts),
         "atlas" => run_atlas(opts),
@@ -1029,14 +816,8 @@ fn main() -> ExitCode {
     };
     // One sweep (and thus one trace cache) shared by everything this
     // invocation runs, including the `all`/`ablations` meta-experiments.
-    // `bench --quick` caps the trace length at the quick configuration
-    // (an explicit smaller `--trace-len` still wins).
-    let mut config = options.config;
-    if options.experiment == "bench" && options.quick {
-        config.trace_len = config.trace_len.min(ExperimentConfig::quick().trace_len);
-    }
     let trace_dir = options.resolved_trace_dir().map(|root| Arc::new(TraceDir::new(root)));
-    let sweep = Sweep::with_trace_dir(&config, trace_dir, options.jobs);
+    let sweep = Sweep::with_trace_dir(&options.config, trace_dir, options.jobs);
     match run_one(&options.experiment, &sweep, &options) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -1062,6 +843,13 @@ mod tests {
         assert_eq!(o.config.workloads.seed, 7);
         assert_eq!(o.jobs, default_jobs());
         assert!(o.csv);
+        // Regression: `--trace-len 0` used to run and print 0.0% in every
+        // cell, which reads like a measured "no speedup".
+        for bad in ["0", "-3", "many"] {
+            let err = opts(&["fig3-1", "--trace-len", bad]).err().unwrap();
+            assert!(err.contains("need an integer >= 1"), "{bad}: {err}");
+        }
+        assert!(opts(&["fig3-1", "--trace-len"]).is_err());
     }
 
     #[test]
@@ -1099,29 +887,13 @@ mod tests {
 
     #[test]
     fn parses_bench_flags() {
-        let o = opts(&["bench", "--quick", "--out", "report.json"]).unwrap();
-        assert!(o.quick);
-        assert_eq!(o.out.as_deref(), Some("report.json"));
-        assert!((o.threshold - 15.0).abs() < 1e-12, "default threshold is 15%");
-        assert_eq!(o.repeat, 3, "bench defaults to best-of-3 timing");
-        assert!(opts(&["bench", "--out"]).is_err());
-    }
-
-    #[test]
-    fn parses_repeat() {
-        assert_eq!(opts(&["bench", "--repeat", "5"]).unwrap().repeat, 5);
-        assert!(opts(&["bench", "--repeat", "0"]).is_err());
-        assert!(opts(&["bench", "--repeat", "many"]).is_err());
-        assert!(opts(&["bench", "--repeat"]).is_err());
-    }
-
-    #[test]
-    fn parses_threshold() {
-        let o = opts(&["bench-compare", "a.json", "b.json", "--threshold", "7.5"]).unwrap();
-        assert_eq!(o.positionals, ["a.json", "b.json"]);
-        assert!((o.threshold - 7.5).abs() < 1e-12);
-        assert!(opts(&["bench-compare", "--threshold", "-3"]).is_err());
-        assert!(opts(&["bench-compare", "--threshold", "wat"]).is_err());
+        let o = opts(&["bench", "--trace-len", "500", "--seed", "3", "--jobs", "2"]).unwrap();
+        validate_invocation(&o).unwrap();
+        assert_eq!((o.config.trace_len, o.config.workloads.seed, o.jobs), (500, 3, 2));
+        validate_invocation(&opts(&["bench", "--trace-dir", "/tmp/x"]).unwrap()).unwrap();
+        // The report goes to stdout: bench takes no output path.
+        let err = validate_invocation(&opts(&["bench", "--out", "r.json"]).unwrap()).unwrap_err();
+        assert!(err.contains("does not take the flag `--out`"), "{err}");
     }
 
     #[test]
@@ -1141,7 +913,6 @@ mod tests {
     fn usage_mentions_serve_and_version() {
         let usage = usage();
         assert!(usage.contains("serve [--addr HOST:PORT]"));
-        assert!(usage.contains("loadgen"));
         assert!(usage.contains("--peers"));
         assert!(usage.contains("--version"));
         for entry in registry::ENTRIES {
@@ -1168,7 +939,7 @@ mod tests {
         ])
         .unwrap();
         validate_invocation(&o).unwrap();
-        assert_eq!(o.peers.as_deref(), Some("127.0.0.1:7001, 127.0.0.1:7002"));
+        assert_eq!(o.peers, ["127.0.0.1:7001", "127.0.0.1:7002"]);
         assert_eq!(o.result_cache, Some(512));
         // 0 disables the cache and must parse.
         assert_eq!(opts(&["serve", "--result-cache", "0"]).unwrap().result_cache, Some(0));
@@ -1177,53 +948,6 @@ mod tests {
         // --peers belongs to serve, not the experiments.
         let o = opts(&["fig3-1", "--peers", "127.0.0.1:7001"]).unwrap();
         assert!(validate_invocation(&o).is_err());
-    }
-
-    #[test]
-    fn parses_loadgen_flags() {
-        let o = opts(&[
-            "loadgen",
-            "--addr",
-            "127.0.0.1:7001,127.0.0.1:7002",
-            "--rps",
-            "1500",
-            "--duration",
-            "3",
-            "--spec-mix",
-            "mix.json",
-            "--out",
-            "report.json",
-        ])
-        .unwrap();
-        validate_invocation(&o).unwrap();
-        assert_eq!(o.rps, Some(1500));
-        assert_eq!(o.duration, Some(3));
-        assert_eq!(o.spec_mix.as_deref(), Some("mix.json"));
-        assert_eq!(o.out.as_deref(), Some("report.json"));
-        assert!(opts(&["loadgen", "--rps", "0"]).is_err());
-        assert!(opts(&["loadgen", "--duration", "0.5"]).is_err());
-        // loadgen is a client: it takes no server-side flags.
-        let o = opts(&["loadgen", "--workers", "4"]).unwrap();
-        assert!(validate_invocation(&o).is_err());
-    }
-
-    #[test]
-    fn spec_mix_files_accept_arrays_and_single_objects() {
-        let dir = std::env::temp_dir().join(format!("fetchvp-cli-mix-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mix.json");
-        std::fs::write(&path, r#"[{"experiment": "table3-1"}, {"experiment": "accuracy"}]"#)
-            .unwrap();
-        let specs = read_spec_mix(path.to_str().unwrap()).unwrap();
-        assert_eq!(specs.len(), 2);
-        assert!(specs[0].contains("table3-1"));
-        std::fs::write(&path, r#"{"experiment": "breakdown"}"#).unwrap();
-        assert_eq!(read_spec_mix(path.to_str().unwrap()).unwrap().len(), 1);
-        std::fs::write(&path, "[]").unwrap();
-        assert!(read_spec_mix(path.to_str().unwrap()).is_err());
-        std::fs::write(&path, "not json").unwrap();
-        assert!(read_spec_mix(path.to_str().unwrap()).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1267,11 +991,11 @@ mod tests {
     #[test]
     fn rejects_inapplicable_known_flags() {
         // Regression: `fetchvp table3-1 --quick` used to exit 0, silently
-        // ignoring the flag. Known flags must be rejected on subcommands
-        // that do not take them.
-        let o = opts(&["table3-1", "--quick"]).unwrap();
+        // ignoring a flag that belonged to another subcommand. Known flags
+        // must be rejected on subcommands that do not take them.
+        let o = opts(&["table3-1", "--out", "t.csv"]).unwrap();
         let err = validate_invocation(&o).unwrap_err();
-        assert!(err.contains("does not take the flag `--quick`"), "{err}");
+        assert!(err.contains("does not take the flag `--out`"), "{err}");
 
         // Near-miss flags get the did-you-mean path.
         let o = opts(&["fuzz", "--cycles", "0..9"]).unwrap();
@@ -1293,7 +1017,8 @@ mod tests {
             vec!["fig5-3", "--chart"],
             vec!["all", "--chart"],
             vec!["ablations", "--csv", "--trace-dir", "/tmp/x"],
-            vec!["bench", "--quick", "--repeat", "2", "--out", "r.json"],
+            vec!["bench", "--trace-len", "500", "--jobs", "2", "--trace-dir", "/tmp/x"],
+            vec!["trace-gen", "gcc", "--trace-len", "500", "--out", "g.fvps"],
             vec!["trace-viz", "gcc", "--cycles", "0..9", "--out", "t.json"],
             vec!["serve", "--addr", "127.0.0.1:0", "--workers", "2"],
             vec!["fuzz", "--cases", "8", "--seed", "7", "--max-len", "900"],
@@ -1312,15 +1037,15 @@ mod tests {
         let err = validate_invocation(&o).unwrap_err();
         assert!(err.contains("positional"), "{err}");
         assert!(err.contains("`extra`"), "{err}");
-        validate_invocation(&opts(&["save-trace", "gcc", "f.bin"]).unwrap()).unwrap();
-        assert!(validate_invocation(&opts(&["save-trace", "gcc", "f.bin", "x"]).unwrap()).is_err());
+        validate_invocation(&opts(&["trace-info", "f.bin"]).unwrap()).unwrap();
+        assert!(validate_invocation(&opts(&["trace-info", "f.bin", "x"]).unwrap()).is_err());
     }
 
     #[test]
     fn unknown_subcommands_still_take_the_suggestion_path() {
         // validate_invocation must not shadow run_one's did-you-mean
         // handling for unknown subcommands.
-        let o = opts(&["benhc", "--quick"]).unwrap();
+        let o = opts(&["benhc", "--csv"]).unwrap();
         validate_invocation(&o).unwrap();
     }
 
@@ -1386,8 +1111,8 @@ mod tests {
         let err = validate_scale(&o).unwrap_err();
         assert!(err.contains("needs whole resident traces"), "{err}");
         assert!(err.contains(&MAX_IN_MEMORY_TRACE_LEN.to_string()), "{err}");
-        // save-trace streams at any in-cap size.
-        let o = opts(&["save-trace", "gcc", "f.fvps", "--trace-len", big]).unwrap();
+        // trace-gen streams at any in-cap size.
+        let o = opts(&["trace-gen", "gcc", "--out", "f.fvps", "--trace-len", big]).unwrap();
         validate_scale(&o).unwrap();
         // Beyond even the out-of-core cap: plainly invalid.
         let too_big = (jobspec::MAX_TRACE_LEN_OOC + 1).to_string();
@@ -1410,11 +1135,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fetchvp-cli-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let store_path = dir.join("go.fvps");
-        let o = opts(&["save-trace", "go", store_path.to_str().unwrap(), "--trace-len", "500"])
-            .unwrap();
-        save_trace(&o.config, &o.positionals).unwrap();
+        let store = store_path.to_str().unwrap();
+        let o = opts(&["trace-gen", "go", "--out", store, "--trace-len", "500"]).unwrap();
+        trace_gen(&o.config, &o).unwrap();
         let magic = &std::fs::read(&store_path).unwrap()[..4];
-        assert_eq!(magic, fetchvp_tracestore::MAGIC, "save-trace must write the chunked format");
+        assert_eq!(magic, fetchvp_tracestore::MAGIC, "trace-gen must write the chunked format");
+        // Regression: an explicit --trace-dir next to --out used to be
+        // silently ignored (the directory was never created).
+        let ignored = dir.join("ignored-dir");
+        let o =
+            opts(&["trace-gen", "go", "--out", store, "--trace-dir", ignored.to_str().unwrap()])
+                .unwrap();
+        let err = trace_gen(&o.config, &o).unwrap_err();
+        assert!(err.contains("not both"), "{err}");
+        assert!(!ignored.exists(), "the rejected --trace-dir must not be created");
         trace_info(&[store_path.to_str().unwrap().to_string()]).unwrap();
         // Anything else is refused, not misread.
         let other = dir.join("not-a-store.bin");
@@ -1447,12 +1181,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn bench_compare_passes_when_the_baseline_is_missing() {
-        let o = opts(&["bench-compare", "/nonexistent/baseline.json", "new.json"]).unwrap();
-        run_one(&o.experiment, &Sweep::with_jobs(&o.config, o.jobs), &o).unwrap();
-    }
-
     /// A writer whose reader has hung up.
     #[derive(Default)]
     struct HungUp {
@@ -1482,12 +1210,5 @@ mod tests {
         // Any other write error is still an error.
         let err = write_output(&mut [0u8; 2].as_mut_slice(), "too long").unwrap_err();
         assert!(err.contains("cannot write output"), "{err}");
-    }
-
-    #[test]
-    fn bench_compare_needs_two_files() {
-        let o = opts(&["bench-compare", "only-one.json"]).unwrap();
-        let sweep = Sweep::with_jobs(&o.config, o.jobs);
-        assert!(run_one(&o.experiment, &sweep, &o).is_err());
     }
 }

@@ -38,8 +38,8 @@ use std::sync::{Arc, OnceLock};
 use fetchvp_core::{MachineConfig, MachineResult};
 use fetchvp_trace::{trace_program, Slot, Trace};
 use fetchvp_tracestore::{
-    run_batch_source, stream_program_to_store, CacheCounters, ReplayProgress, TraceDir, TraceKey,
-    TraceSource, TraceStore, DEFAULT_CHUNK_LEN,
+    run_batch_source, stream_program_to_store, ReplayProgress, TraceDir, TraceKey, TraceSource,
+    TraceStore, DEFAULT_CHUNK_LEN,
 };
 use fetchvp_workloads::{extended_suite, Workload};
 
@@ -326,11 +326,6 @@ impl Sweep {
             slot.set(source).expect("a fresh cache has empty slots");
         }
         Sweep { cache: Arc::new(cache), jobs: jobs.max(1), progress: None }
-    }
-
-    /// The trace directory's hit/miss/bytes counters, if one is attached.
-    pub fn trace_counters(&self) -> Option<CacheCounters> {
-        self.cache.trace_dir().map(|d| d.counters())
     }
 
     /// A serial sweep (`jobs == 1`): `run_with(&Sweep::serial(&cfg))` runs

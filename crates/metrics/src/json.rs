@@ -1,17 +1,18 @@
 //! A minimal JSON value, serializer and parser.
 //!
-//! The workspace builds offline with no external crates, so the benchmark
-//! reports (`BENCH_*.json`) are produced and consumed by this hand-rolled
-//! implementation instead of serde. Design constraints, in order:
+//! The workspace builds offline with no external crates, so the bench
+//! report, the daemon's job specs and results, and the golden-digest files
+//! are produced and consumed by this hand-rolled implementation instead of
+//! serde. Design constraints, in order:
 //!
 //! 1. **Deterministic output.** Objects serialize in insertion order and
 //!    [`Registry`](crate::Registry) inserts keys in sorted order, so two
 //!    runs with identical counters produce byte-identical documents — the
-//!    property the `--jobs` determinism test asserts.
+//!    property the golden-identity matrix asserts across `--jobs` values.
 //! 2. **Integer fidelity.** Counters are `u64` end to end; integers are
 //!    never round-tripped through `f64`.
 //! 3. **Greppable reports.** Serialization is pretty-printed with two-space
-//!    indentation so `BENCH_*.json` diffs line up in code review.
+//!    indentation so report diffs line up in code review.
 //! 4. **Safe on untrusted input.** The parser now sits on a network
 //!    boundary (`fetchvp serve` feeds request bodies straight into
 //!    [`Json::parse`]), so malformed input must always surface as a

@@ -15,8 +15,8 @@
 //!   `SchedStats`, `TraceStats`, …) to write its counters under a caller
 //!   supplied namespace prefix.
 //! * [`json`] — a hand-rolled serializer/parser (the workspace builds
-//!   offline, so no serde) producing the `BENCH_*.json` reports that
-//!   `scripts/bench_compare.sh` gates CI with.
+//!   offline, so no serde) producing the `fetchvp bench` counter report,
+//!   the daemon's documents and the golden-digest files.
 //!
 //! Counters **accumulate**: exporting two machine runs into one registry
 //! sums their counts, which is how the bench reports aggregate a workload's

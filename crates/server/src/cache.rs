@@ -2,18 +2,17 @@
 //! dictionary lookup forever.
 //!
 //! Just as LDBP-style last-value reuse short-circuits work whose outcome
-//! is already determined, a deterministic job spec fully determines its
-//! result document, so the daemon keys finished results by the FNV-1a
-//! hash of the spec's canonical JSON
+//! is already determined, a job spec fully determines its result
+//! document, so the daemon keys finished results by the FNV-1a hash of
+//! the spec's canonical JSON
 //! ([`fetchvp_experiments::JobSpec::canonical_hash`]). Lookups check a
 //! bounded in-memory MRU list first, then an optional on-disk spill
 //! directory next to the trace store, so a restarted daemon still answers
 //! warm specs without re-simulating.
 //!
-//! Only deterministic results are cached
-//! ([`JobSpec::deterministic_result`](fetchvp_experiments::JobSpec::deterministic_result)):
-//! `bench` reports embed wall-clock measurements and are always re-run.
-//! Failed jobs are never cached — a panic is not a result.
+//! Every served result, `bench` reports included, is a pure function of
+//! its spec, so every finished job is cached. Failed jobs are never
+//! cached — a panic is not a result.
 
 use std::fs;
 use std::io::Write;

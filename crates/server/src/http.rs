@@ -157,9 +157,8 @@ pub struct Response {
     /// Seconds for a `Retry-After` header, when set.
     pub retry_after: Option<u64>,
     /// Whether this response was relayed from another fleet member; sent
-    /// as `X-Fetchvp-Proxied: 1` so clients (and the load generator's
-    /// per-status-class histograms) can tell a 1-hop answer from a local
-    /// one.
+    /// as `X-Fetchvp-Proxied: 1` so clients can tell a 1-hop answer from
+    /// a local one.
     pub proxied: bool,
 }
 

@@ -9,8 +9,8 @@
 //! are retained only up to [`MAX_TERMINAL_RECORDS`], oldest-completed
 //! first, so a long-lived daemon's job table stays bounded no matter how
 //! many jobs flow through it; a record evicted before its client polled
-//! it answers `404`, and the client re-submits (deterministic repeats
-//! are then result-cache hits).
+//! it answers `404`, and the client re-submits (repeats are then
+//! result-cache hits).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

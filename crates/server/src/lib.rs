@@ -6,9 +6,8 @@
 //! control, a worker pool executes it through the shared [`Sweep`] runner,
 //! and `GET /jobs/<id>` returns the result — with workload traces staying
 //! **warm across requests**, so the second job against the same
-//! configuration skips tracing entirely, and **deterministic results
-//! cached by content** ([`cache`]), so a repeated spec skips simulation
-//! entirely.
+//! configuration skips tracing entirely, and **results cached by
+//! content** ([`cache`]), so a repeated spec skips simulation entirely.
 //!
 //! Everything is built on `std` only: [`std::net::TcpListener`] driven by
 //! a `poll(2)` readiness event loop (one thread multiplexing every
@@ -16,8 +15,7 @@
 //! queue ([`queue`]) and a mutex-guarded job table ([`jobs`]). Several
 //! daemons started with `--peers` form a fleet ([`peers`]): jobs shard
 //! across members by consistent hashing on the spec's canonical hash,
-//! with single-hop proxying and per-peer health checks. [`loadgen`]
-//! drives such a fleet and reports achieved RPS and latency quantiles.
+//! with single-hop proxying and per-peer health checks.
 //!
 //! # Endpoints
 //!
@@ -59,7 +57,6 @@ pub mod cache;
 mod eventloop;
 pub mod http;
 pub mod jobs;
-pub mod loadgen;
 pub mod peers;
 pub mod progress;
 pub mod queue;
@@ -445,12 +442,9 @@ fn worker_loop(state: &Shared) {
                     "job_latency_ms",
                     started.elapsed().as_millis() as u64,
                 );
-                // Deterministic results are cached by content so the next
-                // identical spec is a lookup; bench reports (wall-clock
-                // measurements) and failures are never cached.
-                if spec.deterministic_result() {
-                    state.results.insert(spec.canonical_hash(), spec.canonical(), &outcome.result);
-                }
+                // Results are cached by content so the next identical spec
+                // is a lookup; failures are never cached.
+                state.results.insert(spec.canonical_hash(), spec.canonical(), &outcome.result);
                 state.jobs.finish(id, outcome.result);
             }
             Err(_) => {
@@ -1010,20 +1004,18 @@ fn submit(state: &Shared, request: &Request, local_only: bool) -> Routed {
         }
     }
 
-    // Result cache: a deterministic spec answered before is a dictionary
-    // lookup — the result is inlined and the response is self-contained
-    // (nothing to poll), so no job record is minted and a flood of warm
-    // cache hits cannot grow the job table.
-    if spec.deterministic_result() {
-        if let Some(result) = state.results.get(hash, &spec.canonical()) {
-            state.metrics.counter("server.jobs", "cached", 1);
-            let body = Json::object([
-                status_pair("done"),
-                ("cached".to_string(), Json::Bool(true)),
-                ("result".to_string(), result),
-            ]);
-            return Routed::Ready(Response::json(200, body.to_json()));
-        }
+    // Result cache: a spec answered before is a dictionary lookup — the
+    // result is inlined and the response is self-contained (nothing to
+    // poll), so no job record is minted and a flood of warm cache hits
+    // cannot grow the job table.
+    if let Some(result) = state.results.get(hash, &spec.canonical()) {
+        state.metrics.counter("server.jobs", "cached", 1);
+        let body = Json::object([
+            status_pair("done"),
+            ("cached".to_string(), Json::Bool(true)),
+            ("result".to_string(), result),
+        ]);
+        return Routed::Ready(Response::json(200, body.to_json()));
     }
 
     let id = state.jobs.create(spec.clone());
@@ -1278,20 +1270,6 @@ mod tests {
         let miss = post(&state, "/run", r#"{"experiment": "table3-1", "trace_len": 301}"#);
         assert_ne!(miss.status, 200, "different trace_len must be a cache miss");
         assert_eq!(state.results.counters().misses, 2, "cold lookup + changed-field lookup");
-    }
-
-    #[test]
-    fn bench_jobs_bypass_the_result_cache() {
-        let state = test_state(4);
-        let spec = r#"{"experiment": "bench", "trace_len": 300}"#;
-        assert_eq!(post(&state, "/run", spec).status, 202);
-        state.queue.close();
-        worker_loop(&state);
-        // Identical bench spec: routed back to the queue path (never
-        // answered inline) — its report carries wall-clock measurements.
-        assert_ne!(post(&state, "/run", spec).status, 200);
-        let counters = state.results.counters();
-        assert_eq!((counters.hits, counters.misses), (0, 0), "bench never consults the cache");
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //!    *either* member returns a merged document carrying both members'
 //!    snapshots plus fleet-summed counters, and a killed member shows up
 //!    as `"down"` instead of failing the aggregation.
+//! 5. **A warm fleet under concurrent load** — hundreds of repeats from
+//!    several client threads, spread over both members, are all answered
+//!    from the result cache with the warmed bytes, locally or over the
+//!    proxy hop, and no connection fails.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -26,7 +30,7 @@ use fetchvp_metrics::Json;
 use fetchvp_server::ServerConfig;
 
 mod common;
-use common::{request, shutdown, start_fleet, wait_for_job, Running};
+use common::{request, shutdown, start_fleet, submit, wait_for_job, Running};
 
 /// The fleet under test: two members, one worker each.
 fn fleet() -> (Running, Running) {
@@ -236,4 +240,72 @@ fn killing_a_member_degrades_gracefully() {
     assert!(flips >= 1, "the death of B must be recorded as a health flip");
 
     shutdown(addr_a, handle_a);
+}
+
+#[test]
+fn a_warm_fleet_answers_concurrent_repeats_from_cache_locally_and_proxied() {
+    const SPECS: [&str; 4] = [
+        r#"{"experiment": "table3-1", "trace_len": 1000}"#,
+        r#"{"experiment": "accuracy", "trace_len": 1000}"#,
+        r#"{"experiment": "table3-1", "trace_len": 2000}"#,
+        r#"{"experiment": "breakdown", "trace_len": 1000}"#,
+    ];
+    const CLIENTS: usize = 4;
+    const REPEATS_PER_CLIENT: usize = 100;
+    let ((addr_a, handle_a), (addr_b, handle_b)) = fleet();
+    let members = [addr_a, addr_b];
+
+    // Warm: each spec runs once to completion on its owner.
+    let warmed: Vec<String> = SPECS
+        .iter()
+        .map(|spec| {
+            let doc = wait_for_job(addr_a, submit(addr_a, spec));
+            assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"), "{spec}");
+            doc.get("result").expect("warmed result").to_json()
+        })
+        .collect();
+
+    // Load: every client walks the specs round-robin across both members,
+    // so each spec is asked of its owner (answered locally) and of the
+    // other member (answered over the proxy hop). `request` panics on any
+    // failed connection.
+    let (local, proxied) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let warmed = &warmed;
+                scope.spawn(move || {
+                    let (mut local, mut proxied) = (0, 0);
+                    for k in 0..REPEATS_PER_CLIENT {
+                        let slot = client * REPEATS_PER_CLIENT + k;
+                        let which = (slot / members.len()) % SPECS.len();
+                        let reply = request(
+                            members[slot % members.len()],
+                            "POST",
+                            "/run",
+                            Some(SPECS[which]),
+                        );
+                        assert_eq!(reply.status, 200, "{}: {}", SPECS[which], reply.body);
+                        let doc = reply.json();
+                        assert_eq!(doc.get("cached"), Some(&Json::Bool(true)), "{}", reply.body);
+                        let result = doc.get("result").expect("inlined result").to_json();
+                        assert_eq!(result, warmed[which], "{}: not the warmed bytes", SPECS[which]);
+                        match reply.header("X-Fetchvp-Proxied") {
+                            Some(_) => proxied += 1,
+                            None => local += 1,
+                        }
+                    }
+                    (local, proxied)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .fold((0, 0), |(local, proxied), (l, p)| (local + l, proxied + p))
+    });
+    assert_eq!(local + proxied, CLIENTS * REPEATS_PER_CLIENT);
+    assert!(local > 0 && proxied > 0, "{local} local and {proxied} proxied cache hits");
+
+    shutdown(addr_a, handle_a);
+    shutdown(addr_b, handle_b);
 }

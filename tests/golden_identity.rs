@@ -1,12 +1,13 @@
 //! The golden-identity matrix: "outputs unchanged" as one cargo test.
 //!
 //! Every [`registry`] experiment, the four `--chart` figures and the
-//! `bench` counter sections are checked, at two seeds and 20,000
-//! instructions, against one committed digest file, `tests/golden.json`.
-//! Its digests are FNV-1a over the exact bytes `fetchvp-cli <name> --csv`
-//! (or `--chart`) prints; `bench` pins each workload's `counters` and
-//! `gauges` sections. Each row is computed along every execution path that
-//! must not change it — the axes:
+//! `bench` report are checked, at two seeds and 20,000 instructions,
+//! against one committed digest file, `tests/golden.json`. Its digests are
+//! FNV-1a over the exact bytes `fetchvp-cli <name> --csv` (or `--chart`)
+//! prints; `bench` pins its whole report (what `fetchvp-cli bench` prints,
+//! less the final newline) and each workload's `counters` and `gauges`
+//! sections. Each row is computed along every execution path that must not
+//! change it — the axes:
 //!
 //! * `serial`: in process, `--jobs 1`, resident traces, no observer, one
 //!   sweep shared by every entry (the CLI's path);
@@ -20,7 +21,7 @@
 //!   through a two-member `--peers` fleet — each spec runs once, on the
 //!   member owning it; the other member relays its record, and both answer
 //!   a repeat from the owner's result cache (entries the daemon does not
-//!   serve skip these; `bench` reports are never cached).
+//!   serve skip these).
 //!
 //! A golden change is a reviewed diff of `tests/golden.json`: nothing
 //! rewrites it. On a mismatch the test names the entry, axis and seed, and
@@ -104,9 +105,10 @@ fn put(digests: &mut Digests, entry: &str, output: &str, text: Result<String, St
     digests.entry(entry.to_string()).or_default().insert(output.to_string(), digest);
 }
 
-/// The `bench` report's counter sections, one digest per workload and
-/// section.
+/// The whole `bench` report, plus its counter sections, one digest per
+/// workload and section.
 fn bench_digests(report: &Json, digests: &mut Digests) {
+    put(digests, "bench", "report", Ok(report.to_json()));
     let workloads = report.get("workloads").and_then(Json::as_object).expect("bench workloads");
     for (name, section) in workloads {
         for part in ["counters", "gauges"] {
@@ -116,7 +118,7 @@ fn bench_digests(report: &Json, digests: &mut Digests) {
     }
 }
 
-/// Every entry (and chart, and the bench counters) run in process on
+/// Every entry (and chart, and the bench report) run in process on
 /// `sweep`; `stored` skips the entries that need resident traces.
 fn in_process(sweep: &Sweep, stored: bool) -> Digests {
     let mut digests = Digests::new();
@@ -126,7 +128,7 @@ fn in_process(sweep: &Sweep, stored: bool) -> Digests {
             put(&mut digests, entry.name, "chart", catching(|| entry.render(sweep, true, false)));
         }
     }
-    match catching(|| bench::run_with(sweep, true).to_json()) {
+    match catching(|| bench::run_with(sweep).to_json()) {
         Ok(report) => bench_digests(&report, &mut digests),
         Err(why) => put(&mut digests, "bench", "report", Err(why)),
     }
@@ -253,9 +255,6 @@ fn served_axes(fleet: [SocketAddr; 2]) -> Vec<(u64, String, Digests)> {
         };
         record("served fresh", owner);
         record("served proxied", other);
-        if name == "bench" {
-            continue;
-        }
         for (axis, addr) in [("served cached", owner), ("served cached via the peer", other)] {
             // Only a cache hit answers `200` with the result inlined.
             let reply = request(addr, "POST", "/run", Some(&spec));

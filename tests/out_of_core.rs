@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use fetchvp_experiments::{
-    bench, breakdown, fig3_1, fig3_3, ExperimentConfig, Sweep, MAX_IN_MEMORY_TRACE_LEN,
+    breakdown, fig3_1, fig3_3, ExperimentConfig, Sweep, MAX_IN_MEMORY_TRACE_LEN,
 };
 use fetchvp_tracestore::{stream_store_stats, TraceDir, TraceStore};
 
@@ -74,29 +74,6 @@ fn per_workload_stores_cover_the_full_trace() {
         // cell walked.
         assert_eq!(stream_store_stats(&store).expect("streamed stats"), stats[0], "{name}");
     }
-    std::fs::remove_dir_all(&root).expect("remove scratch dir");
-}
-
-#[test]
-fn bench_reports_trace_cache_counters_only_when_disk_backed() {
-    let cfg = small_config();
-    let in_memory = bench::run_with(&Sweep::with_jobs(&cfg, 1), true);
-    assert!(in_memory.trace_cache.is_none(), "no counters without a trace dir");
-    // (`trace_cache` still appears deeper in the JSON as a *machine*
-    // label — only the top-level counter section must be absent.)
-    assert!(in_memory.to_json().get("trace_cache").is_none());
-
-    let root = scratch("bench");
-    let sweep = Sweep::with_trace_dir(&cfg, Some(Arc::new(TraceDir::new(&root))), 1);
-    let report = bench::run_with(&sweep, true);
-    let counters = report.trace_cache.expect("disk-backed bench reports counters");
-    assert!(counters.misses > 0);
-    let json = report.to_json();
-    assert_eq!(
-        json.get_path("trace_cache.misses").and_then(fetchvp_metrics::Json::as_u64),
-        Some(counters.misses),
-        "report JSON carries the counters"
-    );
     std::fs::remove_dir_all(&root).expect("remove scratch dir");
 }
 

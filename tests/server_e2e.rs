@@ -24,8 +24,14 @@ use common::{parse_reply, request, shutdown, start, wait_for_job, Reply};
 
 #[test]
 fn concurrent_jobs_complete_and_feed_the_live_registry() {
-    let (addr, handle) =
-        start(ServerConfig { workers: 3, queue_depth: 32, ..ServerConfig::default() });
+    // The result cache is disabled so every repeat of a spec reaches a
+    // worker instead of being answered inline.
+    let (addr, handle) = start(ServerConfig {
+        workers: 3,
+        queue_depth: 32,
+        result_cache_entries: 0,
+        ..ServerConfig::default()
+    });
 
     let health = request(addr, "GET", "/healthz", None);
     assert_eq!(health.status, 200);
@@ -300,60 +306,55 @@ fn request_with_declared_length(addr: SocketAddr, declared: usize) -> Reply {
 
 /// The on-disk trace cache survives daemon restarts: a second server
 /// pointed at the same `--trace-dir` must replay every trace from disk
-/// without generating anything (all hits, zero misses, and a
-/// `trace_cache` section in the bench report).
+/// without generating anything (all hits, zero misses, zero bytes written
+/// in the `server.trace_cache.*` gauges).
 #[test]
 fn warm_trace_dir_serves_a_restarted_daemon_without_regenerating() {
     let dir = std::env::temp_dir().join(format!("fetchvp-server-e2e-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = r#"{"experiment": "bench", "trace_len": 2000, "seed": 13}"#;
 
-    let trace_cache_gauges = |addr: SocketAddr| -> (u64, u64) {
-        let doc = request(addr, "GET", "/metrics", None).json();
+    // Runs `spec` to completion on a fresh daemon over `dir`; returns the
+    // trace cache's (hits, misses, bytes) gauges.
+    let run = |spec: &str| -> (u64, u64, u64) {
+        let (addr, handle) = start(ServerConfig {
+            workers: 1,
+            trace_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let reply = request(addr, "POST", "/run", Some(spec));
+        assert_eq!(reply.status, 202, "{}", reply.body);
+        let id = reply.json().get("job").and_then(Json::as_u64).unwrap();
+        let doc = wait_for_job(addr, id);
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
+        let metrics = request(addr, "GET", "/metrics", None).json();
         let gauge = |name: &str| {
-            doc.get("gauges")
-                .and_then(|g| g.get(name))
+            metrics
+                .get("gauges")
+                .and_then(|g| g.get(&format!("server.trace_cache.{name}")))
                 .and_then(Json::as_f64)
-                .unwrap_or_else(|| panic!("metrics missing gauge {name}")) as u64
+                .unwrap_or_else(|| panic!("metrics missing gauge server.trace_cache.{name}"))
+                as u64
         };
-        (gauge("server.trace_cache.hits"), gauge("server.trace_cache.misses"))
+        let gauges = (gauge("hits"), gauge("misses"), gauge("bytes"));
+        shutdown(addr, handle);
+        gauges
     };
 
     // Cold daemon: every benchmark trace is generated to disk once.
-    let (addr, handle) =
-        start(ServerConfig { workers: 1, trace_dir: Some(dir.clone()), ..ServerConfig::default() });
-    let reply = request(addr, "POST", "/run", Some(spec));
-    assert_eq!(reply.status, 202, "{}", reply.body);
-    let id = reply.json().get("job").and_then(Json::as_u64).unwrap();
-    let doc = wait_for_job(addr, id);
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
-    let cold = doc
-        .get_path("result.trace_cache")
-        .expect("bench report carries a trace_cache section when served with a trace dir");
-    let cold_misses = cold.get("misses").and_then(Json::as_u64).unwrap();
-    assert_eq!(cold.get("hits").and_then(Json::as_u64), Some(0), "cold cache cannot hit");
+    let (hits, cold_misses, bytes) =
+        run(r#"{"experiment": "bench", "trace_len": 2000, "seed": 13}"#);
+    assert_eq!(hits, 0, "cold cache cannot hit");
     assert!(cold_misses > 0, "cold run must generate every trace");
-    assert!(cold.get("bytes").and_then(Json::as_u64).unwrap() > 0);
-    assert_eq!(trace_cache_gauges(addr), (0, cold_misses), "/metrics mirrors the counters");
-    shutdown(addr, handle);
+    assert!(bytes > 0);
 
-    // Restarted daemon, same directory: zero generation, all hits.
-    let (addr, handle) =
-        start(ServerConfig { workers: 1, trace_dir: Some(dir.clone()), ..ServerConfig::default() });
-    let reply = request(addr, "POST", "/run", Some(spec));
-    assert_eq!(reply.status, 202, "{}", reply.body);
-    let id = reply.json().get("job").and_then(Json::as_u64).unwrap();
-    let doc = wait_for_job(addr, id);
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
-    let warm = doc.get_path("result.trace_cache").expect("trace_cache section");
-    assert_eq!(
-        warm.get("misses").and_then(Json::as_u64),
-        Some(0),
-        "warm trace dir must not regenerate anything"
-    );
-    assert_eq!(warm.get("hits").and_then(Json::as_u64), Some(cold_misses));
-    assert_eq!(warm.get("bytes").and_then(Json::as_u64), Some(0), "no bytes written when warm");
-    shutdown(addr, handle);
+    // Restarted daemon, same directory: zero generation, all hits. The
+    // restart asks for two sweep workers, which misses the result cache
+    // spilled under the trace dir but reads the same traces.
+    let (hits, misses, bytes) =
+        run(r#"{"experiment": "bench", "trace_len": 2000, "seed": 13, "jobs": 2}"#);
+    assert_eq!(misses, 0, "warm trace dir must not regenerate anything");
+    assert_eq!(hits, cold_misses);
+    assert_eq!(bytes, 0, "no bytes written when warm");
 
     std::fs::remove_dir_all(&dir).expect("remove scratch trace dir");
 }
