@@ -1,15 +1,14 @@
-//! A minimal HTTP/1.1 request reader and response writer over
-//! [`TcpStream`].
+//! A minimal HTTP/1.1 request reader and response writer.
 //!
 //! The daemon speaks just enough HTTP for `curl`, browsers and raw
 //! `TcpStream` test clients: one request per connection (`Connection:
-//! close` is always sent back), `Content-Length` bodies only (no chunked
-//! transfer encoding), and hard caps on header-block and body sizes so an
-//! adversarial peer cannot balloon memory. Read/write deadlines come from
-//! the socket timeouts the caller sets before handing the stream over.
+//! close` is always sent back), `Content-Length` bodies only (a request
+//! framed by `Transfer-Encoding` is refused before its body is read), and
+//! hard caps on header-block and body sizes so an adversarial peer cannot
+//! balloon memory. Deadlines belong to the stream handed in: the daemon's
+//! connection reader enforces the request's read deadline.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 
 /// Maximum bytes of request line + headers accepted before `431`-style
 /// rejection (we answer `413` — close enough for a five-endpoint API).
@@ -47,6 +46,9 @@ pub enum RequestError {
     TooLarge(&'static str),
     /// The bytes were not parseable HTTP → `400`.
     Malformed(&'static str),
+    /// The body is framed by `Transfer-Encoding` with no `Content-Length`
+    /// → `411`.
+    LengthRequired,
 }
 
 impl From<io::Error> for RequestError {
@@ -56,14 +58,15 @@ impl From<io::Error> for RequestError {
 }
 
 /// Attempts to parse one complete request from an accumulating buffer —
-/// the incremental entry point the nonblocking event loop calls after
-/// every read.
+/// the incremental step [`read_request`] runs after every read.
 ///
 /// Returns `Ok(None)` when the buffer does not yet hold a complete
 /// head + body (read more and call again), `Ok(Some(request))` once it
 /// does, and an error as soon as the bytes are hopeless: an oversized
 /// head or body is rejected *before* the peer finishes sending it, so a
-/// slow adversary cannot balloon memory while staying under the radar.
+/// slow adversary cannot balloon memory while staying under the radar,
+/// and so is any `Transfer-Encoding` (only `Content-Length` framing is
+/// read here).
 /// Bytes past `Content-Length` (pipelined follow-ups, keep-alive
 /// chatter) are ignored: this daemon answers one request per connection.
 pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Request>, RequestError> {
@@ -86,10 +89,12 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Request>, Request
     }
 
     let mut content_length: Option<usize> = None;
+    let mut transfer_encoding = false;
     let mut headers = Vec::new();
     for line in lines {
         let Some((name, value)) = line.split_once(':') else { continue };
         let (name, value) = (name.trim().to_ascii_lowercase(), value.trim().to_string());
+        transfer_encoding |= name == "transfer-encoding";
         if name == "content-length" {
             let parsed =
                 value.parse().map_err(|_| RequestError::Malformed("bad Content-Length"))?;
@@ -101,6 +106,15 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Request>, Request
             content_length = Some(parsed);
         }
         headers.push((name, value));
+    }
+    if transfer_encoding {
+        // RFC 9112 §6.3: with Content-Length too, the two framings
+        // disagree about where the body ends — the request-smuggling
+        // shape, like conflicting Content-Lengths.
+        return Err(match content_length {
+            None => RequestError::LengthRequired,
+            Some(_) => RequestError::Malformed("Transfer-Encoding with Content-Length"),
+        });
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
@@ -115,13 +129,11 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Request>, Request
     Ok(Some(Request { method: method.to_string(), path: path.to_string(), headers, body }))
 }
 
-/// Reads one request from a blocking stream, honouring the stream's read
-/// timeout and capping the body at `max_body` bytes.
-///
-/// This is the synchronous counterpart of [`try_parse`], used by unit
-/// tests; the event loop feeds `try_parse` directly from readiness
-/// callbacks.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, RequestError> {
+/// Reads one request from a blocking stream, feeding [`try_parse`] after
+/// every read and capping the body at `max_body` bytes. The stream's own
+/// timeouts bound the wait; the daemon reads through one that enforces
+/// the request's deadline.
+pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, RequestError> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     loop {
@@ -190,8 +202,8 @@ impl Response {
         reason_phrase(self.status)
     }
 
-    /// The full wire form of the response, ready for buffered writes from
-    /// the event loop.
+    /// The full wire form of the response — what [`Response::write_to`]
+    /// sends in one buffered write.
     ///
     /// Every response carries `Connection: close` — success *and* error
     /// paths alike — because the daemon answers exactly one request per
@@ -219,7 +231,7 @@ impl Response {
     }
 
     /// Serializes the response (with `Connection: close`) onto the stream.
-    pub fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
+    pub fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
         stream.write_all(&self.to_bytes())?;
         stream.flush()
     }
@@ -233,6 +245,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        411 => "Length Required",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
         502 => "Bad Gateway",
@@ -284,7 +297,7 @@ pub fn error_body(message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
 
     /// Feeds raw bytes through a real socket pair and parses them.
     fn parse_bytes(bytes: &[u8]) -> Result<Request, RequestError> {
@@ -379,6 +392,27 @@ mod tests {
         let err =
             parse_bytes(b"POST /run HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 90\r\n\r\nok");
         assert!(matches!(err, Err(RequestError::Malformed("conflicting Content-Length"))));
+    }
+
+    #[test]
+    fn transfer_encoding_bodies_are_refused_before_they_are_read() {
+        // Regression: a chunked body without Content-Length was read as
+        // an empty one (the daemon answered "JSON parse error at byte 0").
+        let chunked =
+            b"POST /run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n";
+        assert!(matches!(parse_bytes(chunked), Err(RequestError::LengthRequired)));
+        // The head alone decides, before any body byte arrives, whatever
+        // the coding.
+        let head_only = b"POST /run HTTP/1.1\r\nTransfer-Encoding: gzip, chunked\r\n\r\n";
+        assert!(matches!(try_parse(head_only, 1024), Err(RequestError::LengthRequired)));
+        // With Content-Length too, the chunk framing used to be parsed as
+        // the body; the framings disagree, so it is malformed.
+        let both = b"POST /run HTTP/1.1\r\nContent-Length: 12\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n";
+        assert!(matches!(
+            parse_bytes(both),
+            Err(RequestError::Malformed("Transfer-Encoding with Content-Length"))
+        ));
+        assert_eq!(reason_phrase(411), "Length Required");
     }
 
     #[test]

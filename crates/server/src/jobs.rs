@@ -263,8 +263,8 @@ impl JobTable {
     }
 
     /// The job's progress handle — what the worker attaches to its sweep
-    /// and the event loop streams from. `None` for unknown (or evicted)
-    /// ids.
+    /// and event-stream connections read from. `None` for unknown (or
+    /// evicted) ids.
     pub fn progress(&self, id: u64) -> Option<Arc<JobProgress>> {
         self.lock().by_id.get(&id).map(|record| Arc::clone(&record.progress))
     }

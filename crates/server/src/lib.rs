@@ -9,10 +9,11 @@
 //! configuration skips tracing entirely, and **results cached by
 //! content** ([`cache`]), so a repeated spec skips simulation entirely.
 //!
-//! Everything is built on `std` only: [`std::net::TcpListener`] driven by
-//! a `poll(2)` readiness event loop (one thread multiplexing every
-//! connection, so the daemon is Unix-only), a hand-rolled HTTP/1.1 subset ([`http`]), a condvar-based bounded MPMC
-//! queue ([`queue`]) and a mutex-guarded job table ([`jobs`]). Several
+//! Everything is built on `std` only: a [`std::net::TcpListener`] served
+//! by a fixed pool of connection threads (each blocks in `accept`, then
+//! reads, routes and answers one request on its own), a hand-rolled
+//! HTTP/1.1 subset ([`http`]), a condvar-based bounded MPMC queue
+//! ([`queue`]) and a mutex-guarded job table ([`jobs`]). Several
 //! daemons started with `--peers` form a fleet ([`peers`]): jobs shard
 //! across members by consistent hashing on the spec's canonical hash,
 //! with single-hop proxying and per-peer health checks.
@@ -34,35 +35,35 @@
 //! * **Backpressure, not buffering** — the queue is bounded
 //!   ([`ServerConfig::queue_depth`]); when full, `/run` answers `503`
 //!   immediately with a `Retry-After` derived from the observed drain
-//!   rate, and never blocks the event loop.
-//! * **The event loop never blocks on a peer** — fleet proxy hops are
-//!   blocking network I/O, so they run on a dedicated helper pool while
-//!   the proxied connection parks; a slow or dead peer stalls at most
-//!   its own requests, never every connection on the member.
+//!   rate.
+//! * **A slow peer stalls only its own requests** — a fleet proxy hop,
+//!   the `/fleet/metrics` fan-out and a relayed stream block just the
+//!   connection thread serving them, under the hop's connect and I/O
+//!   timeouts.
 //! * **Isolation** — a panicking job marks itself `failed` and the worker
 //!   lives on; a panicking worker can never take `GET /metrics` down
 //!   (the registry lock is poison-proof).
 //! * **Bounded connections** — at most [`ServerConfig::max_connections`]
-//!   sockets multiplexed at once (excess clients wait in the kernel's
-//!   accept backlog), each with per-phase read/write deadlines and capped
-//!   request sizes.
+//!   connections served at once, one thread each (excess clients wait in
+//!   the kernel's accept backlog); a request must arrive whole within the
+//!   read timeout of its accept, a client that stops reading is dropped
+//!   after the write timeout, and request sizes are capped.
 //! * **No dropped jobs** — shutdown drains everything that was `202`ed.
 
 #![deny(missing_docs)]
 
 #[cfg(not(unix))]
-compile_error!("fetchvp-server is Unix-only: it is built on poll(2) and signal(2)");
+compile_error!("fetchvp-server is Unix-only: its SIGTERM/SIGINT handling uses signal(2)");
 
 pub mod cache;
-mod eventloop;
 pub mod http;
 pub mod jobs;
 pub mod peers;
 pub mod progress;
 pub mod queue;
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -75,7 +76,7 @@ use fetchvp_tracestore::TraceDir;
 use fetchvp_tracing::{log_with, Level};
 
 use cache::ResultCache;
-use http::{error_body, Request, Response};
+use http::{error_body, Request, RequestError, Response};
 use jobs::JobTable;
 use peers::Fleet;
 use progress::JobProgress;
@@ -90,12 +91,14 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; pushes beyond it get `503`.
     pub queue_depth: usize,
-    /// Maximum sockets multiplexed by the event loop at once; excess
-    /// clients wait in the kernel's accept backlog.
+    /// Maximum connections served at once — one connection thread each;
+    /// excess clients wait in the kernel's accept backlog.
     pub max_connections: usize,
-    /// Per-request socket read timeout.
+    /// Per-request read deadline: the whole request must arrive within it
+    /// of the accept.
     pub read_timeout: Duration,
-    /// Per-request socket write timeout.
+    /// How long a response or stream write may stall: a client that
+    /// stops reading is dropped after it.
     pub write_timeout: Duration,
     /// Maximum accepted `POST` body, bytes.
     pub max_body_bytes: usize,
@@ -177,56 +180,19 @@ impl SweepPool {
     }
 }
 
-/// How many helper threads run blocking proxy hops in fleet mode. Each
-/// hop is one loopback/rack round-trip, so a handful of threads covers
-/// thousands of hops per second; a saturated pool degrades to local
-/// execution, never to blocking the event loop.
-const PROXY_WORKERS: usize = 4;
+/// How often a blocked thread re-checks the shutdown flag: the
+/// supervisor's poll interval, the longest single read of a connection
+/// still waiting for its request, a live stream's frame cadence and the
+/// pause after a throttled accept.
+const TICK: Duration = Duration::from_millis(50);
 
-/// How many proxy hops may be parked waiting for a helper; beyond it,
-/// requests fall back to local handling immediately.
-const PROXY_QUEUE_DEPTH: usize = 64;
+/// A quiet stream emits a `{"heartbeat": true}` frame this often, so
+/// clients (and intermediaries) can tell an idle job from a dead
+/// connection.
+const STREAM_HEARTBEAT: Duration = Duration::from_secs(1);
 
-/// What a proxy helper produced for the parked connection.
-enum ProxyOutcome {
-    /// A complete buffered response, ready to write.
-    Response(Response),
-    /// An open nonblocking socket to the owning member, whose bytes the
-    /// event loop relays verbatim — the streaming hop of
-    /// `GET /jobs/<id>/events`.
-    Upstream(TcpStream),
-}
-
-/// The slot a proxy helper fills once its hop completes; the owning
-/// connection polls it from the event loop.
-type ProxySlot = Mutex<Option<ProxyOutcome>>;
-
-/// Which flavor of blocking work a [`ProxyTask`] parks off the event
-/// loop.
-enum ProxyKind {
-    /// Buffered single-hop forward to the owning member.
-    Hop {
-        /// The owning member's index in the fleet list.
-        member: usize,
-    },
-    /// Connect a streaming relay to the owning member.
-    StreamConnect {
-        /// The owning member's index in the fleet list.
-        member: usize,
-    },
-    /// Fan `GET /fleet/metrics` out to every member and merge.
-    FleetMetrics,
-}
-
-/// One blocking hop parked off the event loop.
-struct ProxyTask {
-    kind: ProxyKind,
-    request: Request,
-    started: Instant,
-    slot: Arc<ProxySlot>,
-}
-
-/// State shared by the event loop, connection handlers and pool workers.
+/// State shared by the connection threads, pool workers and the health
+/// checker.
 struct Shared {
     config: ServerConfig,
     queue: BoundedQueue<(u64, JobSpec)>,
@@ -235,7 +201,6 @@ struct Shared {
     sweeps: SweepPool,
     results: ResultCache,
     fleet: Fleet,
-    proxies: BoundedQueue<ProxyTask>,
     shutdown: AtomicBool,
     active_connections: AtomicUsize,
     /// When the daemon bound its socket — the `server.uptime_seconds`
@@ -247,43 +212,12 @@ impl Shared {
     fn should_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || signals::terminated()
     }
-
-    /// Parks a blocking hop on the helper pool. `Err` carries the
-    /// response when the hop could not be parked (saturated pool): the
-    /// request is completed locally instead — computed without blocking
-    /// I/O, and already metered.
-    fn dispatch_proxy(
-        &self,
-        kind: ProxyKind,
-        request: Request,
-        started: Instant,
-    ) -> Result<Arc<ProxySlot>, Response> {
-        let slot = Arc::new(Mutex::new(None));
-        let task = ProxyTask { kind, request, started, slot: Arc::clone(&slot) };
-        match self.proxies.try_push(task) {
-            Ok(_) => Ok(slot),
-            Err(task) => {
-                self.metrics.counter("server.peers", "proxy_overflow", 1);
-                let response = match task.kind {
-                    // A saturated helper pool cannot fan out or stream;
-                    // the aggregation client retries, the stream client
-                    // falls back to polling.
-                    ProxyKind::FleetMetrics | ProxyKind::StreamConnect { .. } => {
-                        Response::retry_after(503, error_body("proxy helpers saturated"), 1)
-                    }
-                    ProxyKind::Hop { .. } => proxy_fallback(self, &task.request),
-                };
-                finish_request(self, &task.request, &response, task.started);
-                Err(response)
-            }
-        }
-    }
 }
 
 /// The daemon: bind with [`Server::bind`], then block in [`Server::run`].
 pub struct Server {
     listener: TcpListener,
-    state: Arc<Shared>,
+    state: Shared,
 }
 
 impl Server {
@@ -313,7 +247,7 @@ impl Server {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?
         };
         let results = ResultCache::new(config.result_cache_entries, config.trace_dir.as_deref());
-        let state = Arc::new(Shared {
+        let state = Shared {
             queue: BoundedQueue::new(config.queue_depth),
             jobs: JobTable::sharded(fleet.stride(), fleet.self_index() as u64)
                 .with_progress_capacity(config.progress_ring_events),
@@ -321,12 +255,11 @@ impl Server {
             sweeps: SweepPool::new(trace_dir),
             results,
             fleet,
-            proxies: BoundedQueue::new(PROXY_QUEUE_DEPTH),
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
             started: Instant::now(),
             config,
-        });
+        };
         Ok(Server { listener, state })
     }
 
@@ -335,63 +268,270 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serves until `POST /shutdown` or `SIGTERM`/`SIGINT`, then drains
-    /// admitted jobs and in-flight connections before returning.
+    /// Serves until `POST /shutdown` or `SIGTERM`/`SIGINT`, then finishes
+    /// the connections in flight and drains admitted jobs before
+    /// returning.
     pub fn run(self) -> io::Result<()> {
         signals::install();
-        let workers: Vec<_> = (0..self.state.config.workers.max(1))
-            .map(|i| {
-                let state = Arc::clone(&self.state);
-                std::thread::Builder::new()
-                    .name(format!("fetchvp-worker-{i}"))
-                    .spawn(move || worker_loop(&state))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        let health_checker = self.state.fleet.is_fleet().then(|| {
-            let state = Arc::clone(&self.state);
-            std::thread::Builder::new()
-                .name("fetchvp-health".to_string())
-                .spawn(move || health_loop(&state))
-                .expect("spawn health checker")
-        });
-        // Proxy hops are blocking network I/O; in fleet mode they run on
-        // this pool so they can never stall the event loop.
-        let proxy_helpers: Vec<_> = if self.state.fleet.is_fleet() {
-            (0..PROXY_WORKERS)
+        let wake = wake_addr(self.listener.local_addr()?);
+        let (listener, state) = (&self.listener, &self.state);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..state.config.workers.max(1))
                 .map(|i| {
-                    let state = Arc::clone(&self.state);
                     std::thread::Builder::new()
-                        .name(format!("fetchvp-proxy-{i}"))
-                        .spawn(move || proxy_loop(&state))
-                        .expect("spawn proxy helper")
+                        .name(format!("fetchvp-worker-{i}"))
+                        .spawn_scoped(scope, move || worker_loop(state))
+                        .expect("spawn worker thread")
                 })
-                .collect()
-        } else {
-            Vec::new()
-        };
+                .collect();
+            let health_checker = state.fleet.is_fleet().then(|| {
+                std::thread::Builder::new()
+                    .name("fetchvp-health".to_string())
+                    .spawn_scoped(scope, move || health_loop(state))
+                    .expect("spawn health checker")
+            });
+            // The pool size is the connection cap: a client beyond it
+            // waits in the kernel's accept backlog, not refused.
+            let connections: Vec<_> = (0..state.config.max_connections.max(1))
+                .map(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("fetchvp-conn-{i}"))
+                        .spawn_scoped(scope, move || accept_loop(listener, state))
+                        .expect("spawn connection thread")
+                })
+                .collect();
 
-        let served = serve_connections(&self.listener, &self.state);
+            while !state.should_shutdown() {
+                std::thread::sleep(TICK);
+            }
+            // One loopback connect completes one blocked accept, whose
+            // thread then sees the flag and exits; busy threads see it
+            // when their connection ends.
+            for _ in &connections {
+                let _ = TcpStream::connect_timeout(&wake, TICK);
+            }
+            let served: Vec<_> = connections.into_iter().map(|c| c.join()).collect();
 
-        // Graceful shutdown: reject new work, drain everything admitted.
-        self.state.queue.close();
-        self.state.proxies.close();
-        for worker in workers {
-            let _ = worker.join();
-        }
-        for helper in proxy_helpers {
-            let _ = helper.join();
-        }
-        if let Some(checker) = health_checker {
-            let _ = checker.join();
-        }
-        served
+            // Graceful shutdown: reject new work, drain everything admitted.
+            state.queue.close();
+            for worker in workers {
+                let _ = worker.join();
+            }
+            if let Some(checker) = health_checker {
+                let _ = checker.join();
+            }
+            // A connection thread's panic resurfaces once the workers are
+            // drained; a listener failure is what `run` returns.
+            served.into_iter().try_for_each(|joined| {
+                joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+        })
     }
 }
 
-/// Multiplexes connections until shutdown — the `poll(2)` event loop.
-fn serve_connections(listener: &TcpListener, state: &Arc<Shared>) -> io::Result<()> {
-    eventloop::serve(listener, state)
+/// Where the shutdown wake-up connects: the bound address, with a
+/// wildcard IP replaced by loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// One connection thread: accepts a connection, serves it to the end,
+/// and repeats until shutdown. Only a failure of the listener itself
+/// stops the daemon (the error is what [`Server::run`] returns).
+fn accept_loop(listener: &TcpListener, state: &Shared) -> io::Result<()> {
+    while !state.should_shutdown() {
+        match listener.accept() {
+            // The shutdown wake-up, or a client that raced it.
+            Ok(_) if state.should_shutdown() => break,
+            Ok((stream, _peer)) => {
+                state.active_connections.fetch_add(1, Ordering::SeqCst);
+                serve_connection(stream, state);
+                state.active_connections.fetch_sub(1, Ordering::SeqCst);
+            }
+            // Transient per-connection accept failures (e.g. the peer
+            // aborted before the accept) must not kill the daemon.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted
+                        | io::ErrorKind::ConnectionAborted
+                        | io::ErrorKind::ConnectionReset
+                ) => {}
+            // EMFILE (24) / ENFILE (23): fd exhaustion under a connection
+            // flood is transient — closing connections free descriptors
+            // within a tick or two.
+            Err(e) if matches!(e.raw_os_error(), Some(23 | 24)) => {
+                state.metrics.counter("server.connections", "accept_throttled", 1);
+                std::thread::sleep(TICK);
+            }
+            Err(e) => {
+                state.shutdown.store(true, Ordering::SeqCst);
+                return Err(e);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Serves one accepted connection: reads its request within
+/// `read_timeout` of the accept, routes it and answers — for an events
+/// stream, until the stream ends. A client too slow to send its request
+/// or to take the answer counts as `server.requests.io_error`.
+fn serve_connection(stream: TcpStream, state: &Shared) {
+    let started = Instant::now();
+    // Reads wait a tick at a time (see `Conn::read`); a write may stall
+    // for at most `write_timeout`.
+    let timeouts = stream
+        .set_read_timeout(Some(TICK))
+        .and_then(|()| stream.set_write_timeout(Some(state.config.write_timeout)));
+    if timeouts.is_err() {
+        state.metrics.counter("server.requests", "io_error", 1);
+        return;
+    }
+    let mut conn = Conn { stream, deadline: started + state.config.read_timeout, state };
+    let sent = match http::read_request(&mut conn, state.config.max_body_bytes) {
+        Ok(request) => {
+            let routed = route(state, &request);
+            // A stream is metered when it is accepted: its lifetime is
+            // the job's, not a request-latency sample's.
+            let status = match &routed {
+                Routed::Ready(response) => response.status,
+                Routed::Stream(_) | Routed::Relay(_) => 200,
+            };
+            finish_request(state, &request, status, started);
+            match routed {
+                Routed::Ready(response) => response.write_to(&mut conn.stream),
+                Routed::Stream(progress) => conn.stream_ring(&progress),
+                Routed::Relay(upstream) => conn.relay(upstream),
+            }
+        }
+        Err(RequestError::Io(_)) => {
+            state.metrics.counter("server.requests", "io_error", 1);
+            return;
+        }
+        Err(RequestError::TooLarge(what)) => {
+            state.metrics.counter("server.requests", "too_large.413", 1);
+            Response::json(413, error_body(&format!("{what} too large"))).write_to(&mut conn.stream)
+        }
+        Err(RequestError::Malformed(why)) => {
+            state.metrics.counter("server.requests", "malformed.400", 1);
+            Response::json(400, error_body(why)).write_to(&mut conn.stream)
+        }
+        Err(RequestError::LengthRequired) => {
+            state.metrics.counter("server.requests", "length_required.411", 1);
+            let why = "a request body needs Content-Length; Transfer-Encoding is not supported";
+            Response::json(411, error_body(why)).write_to(&mut conn.stream)
+        }
+    };
+    // A client that hung up is not an error of ours; one that stopped
+    // reading for `write_timeout` is.
+    if sent.is_err_and(|e| is_timeout(&e)) {
+        state.metrics.counter("server.requests", "io_error", 1);
+    }
+}
+
+/// Whether an I/O error is a deadline expiring: our own, or a socket
+/// timeout (`EAGAIN` on Unix).
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
+/// One accepted connection and the deadline its whole request must
+/// arrive by.
+struct Conn<'a> {
+    stream: TcpStream,
+    deadline: Instant,
+    state: &'a Shared,
+}
+
+impl Read for Conn<'_> {
+    /// Reads before the request deadline. Each socket read waits at most
+    /// a tick, so the deadline — and shutdown, for a connection still
+    /// waiting for its request — is checked at least that often. End of
+    /// stream is an error here: it can only come before the request is
+    /// whole.
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            if Instant::now() >= self.deadline {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            match self.stream.read(buf) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Err(e) if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted => {
+                    if self.state.should_shutdown() {
+                        return Err(e);
+                    }
+                }
+                read => return read,
+            }
+        }
+    }
+}
+
+impl Conn<'_> {
+    /// Streams the job's progress ring as chunked NDJSON from this
+    /// connection's own cursor, cutting frames every tick: one chunk per
+    /// event, a `{"dropped": n}` notice when the ring evicted events this
+    /// reader never saw (a slow client stalls only itself), a heartbeat
+    /// after a quiet second, and the final chunk right after the terminal
+    /// event — always the ring's newest, so drop-oldest never loses it.
+    /// Shutdown cuts the stream; the job keeps running.
+    fn stream_ring(&mut self, progress: &JobProgress) -> io::Result<()> {
+        // The head goes out with the first frames, in one write.
+        let mut out = http::stream_head(200, STREAM_CONTENT_TYPE);
+        let (mut cursor, mut last_emit) = (0, Instant::now());
+        while !self.state.should_shutdown() {
+            let batch = progress.since(cursor);
+            cursor = batch.next_cursor;
+            if batch.dropped > 0 {
+                let notice = format!("{{\"dropped\": {}}}\n", batch.dropped);
+                out.extend(http::chunk(notice.as_bytes()));
+            }
+            for event in &batch.events {
+                out.extend(http::chunk(format!("{}\n", event.to_line()).as_bytes()));
+                if matches!(event.phase, "done" | "failed") {
+                    out.extend_from_slice(http::chunk_end());
+                    return self.stream.write_all(&out);
+                }
+            }
+            let now = Instant::now();
+            if out.is_empty() && now.duration_since(last_emit) >= STREAM_HEARTBEAT {
+                out.extend(http::chunk(b"{\"heartbeat\": true}\n"));
+            }
+            if !out.is_empty() {
+                self.stream.write_all(&out)?;
+                out.clear();
+                last_emit = now;
+            }
+            std::thread::sleep(TICK);
+        }
+        Ok(())
+    }
+
+    /// Passes the owning member's events response through verbatim —
+    /// head and chunked framing included — until the owner ends it. An
+    /// owner that dies mid-stream leaves the client a chunked body
+    /// without its final chunk, so it knows the stream did not end
+    /// cleanly. Shutdown cuts the relay.
+    fn relay(&mut self, mut upstream: TcpStream) -> io::Result<()> {
+        upstream.set_read_timeout(Some(TICK))?;
+        let mut buf = [0u8; 4096];
+        while !self.state.should_shutdown() {
+            match upstream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => self.stream.write_all(&buf[..n])?,
+                Err(e) if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Probes every peer on a fixed interval, flipping liveness flags and
@@ -459,216 +599,38 @@ fn worker_loop(state: &Shared) {
 /// lines (`FETCHVP_LOG=server=info`) across requests.
 static REQUEST_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// What routing decided: most requests complete inline on the calling
-/// thread, but a fleet proxy hop is blocking network I/O that must never
-/// run on the event-loop thread, so it is handed back to the caller.
+/// What routing decided for one request.
 enum Routed {
-    /// The response is ready to write.
+    /// A buffered response, ready to write.
     Ready(Response),
-    /// Forward one hop to fleet member `member` (off the event loop),
-    /// falling back to [`proxy_fallback`] when the hop fails.
-    Proxy {
-        /// The owning member's index in the fleet list.
-        member: usize,
-    },
-    /// Stream the job's progress ring as chunked NDJSON until its
-    /// terminal event — served incrementally by the event loop (the
-    /// threaded fallback and unit tests degrade to a snapshot).
-    Stream {
-        /// The job's progress handle; the connection keeps its own
-        /// cursor into the ring.
-        progress: Arc<JobProgress>,
-    },
-    /// Open a streaming relay hop to fleet member `member`, who owns the
-    /// requested job's events.
-    StreamProxy {
-        /// The owning member's index in the fleet list.
-        member: usize,
-    },
-    /// Fan `GET /fleet/metrics` out to every peer and merge — blocking
-    /// network I/O, parked on the proxy helper pool.
-    FleetMetrics,
+    /// A live `GET /jobs/<id>/events` stream of a job this process owns.
+    Stream(Arc<JobProgress>),
+    /// A `GET /jobs/<id>/events` stream relayed from the fleet member
+    /// that owns the job: a socket with the forwarded request sent.
+    Relay(TcpStream),
 }
 
-/// Records the per-request metrics and access log line once a response
-/// is ready — the completion half of every routing path. `started` is
-/// when the connection began reading, so `server.request_latency_us`
-/// includes request-receive (and any proxy-hop) time.
-fn finish_request(state: &Shared, request: &Request, response: &Response, started: Instant) {
+/// Records the per-request metrics and access log line once routing has
+/// answered. `started` is when the connection was accepted, so
+/// `server.request_latency_us` includes request-receive (and any
+/// proxy-hop) time.
+fn finish_request(state: &Shared, request: &Request, status: u16, started: Instant) {
     let id = REQUEST_ID.fetch_add(1, Ordering::Relaxed) + 1;
     state.metrics.counter(
         "server.requests",
-        &format!("{}.{}", endpoint_label(&request.path), response.status),
+        &format!("{}.{}", endpoint_label(&request.path), status),
         1,
     );
     let micros = started.elapsed().as_micros() as u64;
     state.metrics.observe("server", "request_latency_us", micros);
     log_with("server.http", Level::Info, || {
-        format!("req={id} {} {} -> {} in {micros}us", request.method, request.path, response.status)
+        format!("req={id} {} {} -> {status} in {micros}us", request.method, request.path)
     });
-}
-
-/// Routes one parsed request on the event-loop thread. Requests that
-/// complete without blocking I/O come back [`Routed::Ready`], already
-/// metered; proxy hops come back [`Routed::Proxy`] for
-/// [`Shared::dispatch_proxy`].
-fn respond_or_proxy(state: &Shared, request: &Request, started: Instant) -> Routed {
-    match route(state, request, false) {
-        Routed::Ready(response) => {
-            finish_request(state, request, &response, started);
-            Routed::Ready(response)
-        }
-        Routed::Stream { progress } => {
-            // Streams are metered when they are accepted (the 200 and the
-            // head go out now); their lifetime is the job's, not a
-            // request-latency sample's.
-            let accepted = Response::text(200, String::new(), STREAM_CONTENT_TYPE);
-            finish_request(state, request, &accepted, started);
-            Routed::Stream { progress }
-        }
-        proxy => proxy,
-    }
 }
 
 /// The content type of the `GET /jobs/<id>/events` stream: newline-
 /// delimited JSON, one [`fetchvp_tracing::ProgressEvent`] line per chunk.
 pub const STREAM_CONTENT_TYPE: &str = "application/x-ndjson";
-
-/// Routes one parsed request to a finished response, running any proxy
-/// hop inline — the blocking entry point of the unit tests. The event
-/// loop uses [`respond_or_proxy`] + the proxy helper pool instead.
-#[cfg(test)]
-fn respond(state: &Shared, request: &Request, started: Instant) -> Response {
-    let response = match route(state, request, false) {
-        Routed::Ready(response) => response,
-        Routed::Proxy { member } | Routed::StreamProxy { member } => {
-            complete_proxy(state, member, request)
-        }
-        // Without the event loop there is no incremental write path, so
-        // the stream degrades to a self-contained snapshot of the ring.
-        Routed::Stream { progress } => stream_snapshot(&progress),
-        Routed::FleetMetrics => fleet_metrics_merged(state),
-    };
-    finish_request(state, request, &response, started);
-    response
-}
-
-/// The ring's retained events as one buffered NDJSON body — what the
-/// threaded fallback (and any proxyless local route) serves where the
-/// event loop would stream live.
-fn stream_snapshot(progress: &JobProgress) -> Response {
-    let batch = progress.since(0);
-    let mut body = String::new();
-    for event in &batch.events {
-        body.push_str(&event.to_line());
-        body.push('\n');
-    }
-    Response::text(200, body, STREAM_CONTENT_TYPE)
-}
-
-/// One proxy helper: runs the blocking hops the event loop parked.
-fn proxy_loop(state: &Shared) {
-    while let Some(task) = state.proxies.pop() {
-        let outcome = match task.kind {
-            ProxyKind::Hop { member } => {
-                let response = complete_proxy(state, member, &task.request);
-                finish_request(state, &task.request, &response, task.started);
-                ProxyOutcome::Response(response)
-            }
-            ProxyKind::StreamConnect { member } => match open_stream_hop(state, member, &task) {
-                Ok(upstream) => ProxyOutcome::Upstream(upstream),
-                Err(response) => ProxyOutcome::Response(response),
-            },
-            ProxyKind::FleetMetrics => {
-                let response = fleet_metrics_merged(state);
-                finish_request(state, &task.request, &response, task.started);
-                ProxyOutcome::Response(response)
-            }
-        };
-        *task.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
-    }
-}
-
-/// Opens the streaming relay for a [`ProxyKind::StreamConnect`] hop,
-/// metering either the accepted relay (as a proxied 200) or the failure
-/// response. An unreachable owner answers 502 — the record (and its
-/// ring) lives only there, so there is no local fallback to stream.
-fn open_stream_hop(state: &Shared, member: usize, task: &ProxyTask) -> Result<TcpStream, Response> {
-    let upstream = if state.fleet.is_alive(member) {
-        state.fleet.open_stream(member, &task.request)
-    } else {
-        None
-    };
-    match upstream {
-        Some(upstream) => {
-            state.metrics.counter("server.peers", "proxied_streams", 1);
-            let mut accepted = Response::text(200, String::new(), STREAM_CONTENT_TYPE);
-            accepted.proxied = true;
-            finish_request(state, &task.request, &accepted, task.started);
-            Ok(upstream)
-        }
-        None => {
-            state.metrics.counter("server.peers", "proxy_errors", 1);
-            if state.fleet.set_alive(member, false) {
-                state.metrics.counter("server.peers", "health_flips", 1);
-            }
-            let response = proxy_fallback(state, &task.request);
-            finish_request(state, &task.request, &response, task.started);
-            Err(response)
-        }
-    }
-}
-
-/// Runs the blocking single-hop proxy for a [`Routed::Proxy`] decision —
-/// never on the event-loop thread. A peer that is already marked dead
-/// (the health checker or an earlier hop beat us to it) short-circuits
-/// straight to the fallback instead of burning a connect timeout.
-fn complete_proxy(state: &Shared, member: usize, request: &Request) -> Response {
-    if state.fleet.is_alive(member) {
-        if let Some(response) = proxy_or_mark_dead(state, member, request) {
-            return response;
-        }
-    }
-    proxy_fallback(state, request)
-}
-
-/// Handles a request whose proxy hop could not run (dead peer, saturated
-/// helper pool): `POST /run` degrades to running the job locally —
-/// availability over cache locality — while `GET /jobs/<id>` answers
-/// `502`, because the record lives only on the unreachable owner.
-fn proxy_fallback(state: &Shared, request: &Request) -> Response {
-    if request.path.starts_with("/jobs/") {
-        let tail = &request.path["/jobs/".len()..];
-        let id_text = tail.strip_suffix("/events").unwrap_or(tail);
-        let owner = id_text
-            .parse::<u64>()
-            .map(|id| JobTable::owner_of(id, state.fleet.stride()) as usize)
-            .unwrap_or_default();
-        return Response::json(
-            502,
-            error_body(&format!(
-                "job {id_text} belongs to unreachable fleet member {}",
-                state.fleet.members().get(owner).map(String::as_str).unwrap_or("?")
-            )),
-        );
-    }
-    route_local(state, request)
-}
-
-/// Routes a request with fleet forwarding disabled — the handling a
-/// request gets after its proxy hop failed (or when it arrived already
-/// forwarded).
-fn route_local(state: &Shared, request: &Request) -> Response {
-    match route(state, request, true) {
-        Routed::Ready(response) => response,
-        // A locally-owned events stream degrades to a buffered snapshot
-        // of the ring — proxyless paths have no incremental writer.
-        Routed::Stream { progress } => stream_snapshot(&progress),
-        Routed::Proxy { .. } | Routed::StreamProxy { .. } | Routed::FleetMetrics => {
-            unreachable!("local-only routing cannot proxy")
-        }
-    }
-}
 
 /// The metric label for a request path (`/jobs/7` → `jobs`,
 /// `/jobs/7/events` → `events`).
@@ -692,37 +654,30 @@ fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
-/// Routes a request. With `local_only` set, fleet forwarding is
-/// disabled and the result is always [`Routed::Ready`]; otherwise
-/// `POST /run` and `GET /jobs/<id>` may decide on a proxy hop.
-fn route(state: &Shared, request: &Request, local_only: bool) -> Routed {
+/// Routes a request — the one router every connection runs. Fleet hops
+/// happen inline: they block only this connection's thread.
+fn route(state: &Shared, request: &Request) -> Routed {
     Routed::Ready(match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => healthz(state),
         ("GET", "/metrics") => metrics_snapshot(state, request),
         ("GET", "/fleet/metrics") => {
-            // A forwarded (or local-only) request is one peer answering
-            // the aggregator: it reports just its own member document.
-            // Fresh requests on a fleet member fan out on the helper
-            // pool; a standalone daemon merges itself inline.
-            if local_only || is_forwarded(request) {
+            // A forwarded request is one peer answering the aggregator:
+            // it reports just its own member document.
+            if is_forwarded(request) {
                 Response::json(200, fleet_member_json(state).to_json())
-            } else if state.fleet.is_fleet() {
-                return Routed::FleetMetrics;
             } else {
                 fleet_metrics_merged(state)
             }
         }
-        ("POST", "/run") => return submit(state, request, local_only),
+        ("POST", "/run") => submit(state, request),
         ("POST", "/shutdown") => {
             state.shutdown.store(true, Ordering::SeqCst);
             Response::json(200, Json::object([status_pair("shutting down")]).to_json())
         }
         ("GET", path) if path.starts_with("/jobs/") && path.ends_with("/events") => {
-            return job_events(state, request, path, local_only)
+            return job_events(state, request, path)
         }
-        ("GET", path) if path.starts_with("/jobs/") => {
-            return job_status(state, request, path, local_only)
-        }
+        ("GET", path) if path.starts_with("/jobs/") => job_status(state, request, path),
         (_, "/healthz" | "/metrics" | "/run" | "/shutdown" | "/fleet/metrics") => {
             Response::json(405, error_body("method not allowed"))
         }
@@ -822,7 +777,7 @@ fn metrics_snapshot(state: &Shared, request: &Request) -> Response {
     refresh_gauges(state);
     // `server.started` (recorded at bind) guarantees the `server.*`
     // namespace is present even in the very first scrape; this request's
-    // own counter lands in the *next* snapshot via handle_connection.
+    // own counter lands in the *next* snapshot via finish_request.
     let snapshot = state.metrics.snapshot();
     if wants_prometheus(request) {
         return Response::text(
@@ -855,8 +810,7 @@ fn fleet_member_json(state: &Shared) -> Json {
 }
 
 /// Builds the merged `/fleet/metrics` document: this member's own report
-/// plus one forwarded fetch per peer (blocking — never run on the event
-/// loop in fleet mode). Unreachable peers are marked `"down"` (and their
+/// plus one forwarded fetch per peer. Unreachable peers are marked `"down"` (and their
 /// liveness flag flipped) instead of failing the whole aggregation, and
 /// counters of every reporting member are summed into a fleet-wide
 /// `summed.counters` section.
@@ -884,11 +838,7 @@ fn fleet_metrics_merged(state: &Shared) -> Response {
             let (status, doc) = if member == state.fleet.self_index() {
                 ("self", Some(fleet_member_json(state)))
             } else {
-                let fetched = state
-                    .fleet
-                    .is_alive(member)
-                    .then(|| proxy_or_mark_dead(state, member, &probe))
-                    .flatten()
+                let fetched = hop(state, member, &probe)
                     .filter(|response| response.status == 200)
                     .and_then(|response| Json::parse(&response.body).ok());
                 match fetched {
@@ -954,53 +904,77 @@ fn is_forwarded(request: &Request) -> bool {
     request.header(peers::FORWARDED_HEADER).is_some()
 }
 
-/// Proxies `request` to `member`, falling back to `None` (and marking
-/// the peer dead) when the hop fails, so the caller degrades to local
-/// handling instead of surfacing a peer's failure to the client.
-fn proxy_or_mark_dead(state: &Shared, member: usize, request: &Request) -> Option<Response> {
-    match state.fleet.proxy(member, request) {
-        Some(mut response) => {
-            state.metrics.counter("server.peers", "proxied", 1);
-            // Stamp the relay (`X-Fetchvp-Proxied: 1`) so clients can
-            // attribute the extra hop's latency.
-            response.proxied = true;
-            Some(response)
-        }
-        None => {
-            state.metrics.counter("server.peers", "proxy_errors", 1);
-            if state.fleet.set_alive(member, false) {
-                state.metrics.counter("server.peers", "health_flips", 1);
-            }
-            None
-        }
+/// The fleet member a request must hop to when `owner` owns what it
+/// asks for: `None` when that is this process, or when the request has
+/// already made its one hop.
+fn remote_owner(state: &Shared, owner: usize, request: &Request) -> Option<usize> {
+    (state.fleet.is_fleet() && owner != state.fleet.self_index() && !is_forwarded(request))
+        .then_some(owner)
+}
+
+/// Forwards `request` one hop to `member` and stamps the relay
+/// (`X-Fetchvp-Proxied: 1`) so clients can attribute the extra hop's
+/// latency. `None` when the hop cannot run — the peer is already marked
+/// dead, which spares a connect timeout, or the hop just failed, which
+/// marks it dead — so the caller degrades to local handling instead of
+/// surfacing a peer's failure to the client.
+fn hop(state: &Shared, member: usize, request: &Request) -> Option<Response> {
+    if !state.fleet.is_alive(member) {
+        return None;
+    }
+    let Some(mut response) = state.fleet.proxy(member, request) else {
+        mark_dead(state, member);
+        return None;
+    };
+    state.metrics.counter("server.peers", "proxied", 1);
+    response.proxied = true;
+    Some(response)
+}
+
+/// Counts a failed hop to `member` and marks the peer down.
+fn mark_dead(state: &Shared, member: usize) {
+    state.metrics.counter("server.peers", "proxy_errors", 1);
+    if state.fleet.set_alive(member, false) {
+        state.metrics.counter("server.peers", "health_flips", 1);
     }
 }
 
-fn submit(state: &Shared, request: &Request, local_only: bool) -> Routed {
+/// The `502` for a job whose record lives only on an unreachable fleet
+/// member — there is no local fallback to answer from.
+fn unreachable_owner(state: &Shared, id_text: &str, owner: usize) -> Response {
+    Response::json(
+        502,
+        error_body(&format!(
+            "job {id_text} belongs to unreachable fleet member {}",
+            state.fleet.members().get(owner).map(String::as_str).unwrap_or("?")
+        )),
+    )
+}
+
+fn submit(state: &Shared, request: &Request) -> Response {
     if state.should_shutdown() {
-        return Routed::Ready(Response::retry_after(503, error_body("server is shutting down"), 1));
+        return Response::retry_after(503, error_body("server is shutting down"), 1);
     }
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
-        Err(_) => return Routed::Ready(Response::json(400, error_body("body is not UTF-8"))),
+        Err(_) => return Response::json(400, error_body("body is not UTF-8")),
     };
     let doc = match Json::parse(text) {
         Ok(doc) => doc,
-        Err(e) => return Routed::Ready(Response::json(400, error_body(&e.to_string()))),
+        Err(e) => return Response::json(400, error_body(&e.to_string())),
     };
     let spec = match JobSpec::from_json_with_limits(&doc, state.sweeps.trace_dir.is_some()) {
         Ok(spec) => spec,
-        Err(e) => return Routed::Ready(Response::json(400, error_body(&e))),
+        Err(e) => return Response::json(400, error_body(&e)),
     };
 
     // Fleet routing: the spec's canonical hash names exactly one owner;
-    // everyone else proxies a single hop (off the event loop). A failed
-    // hop degrades to running the job locally.
+    // everyone else proxies a single hop. A failed hop degrades to
+    // running the job here — availability over cache locality.
     let hash = spec.canonical_hash();
-    if !local_only && state.fleet.is_fleet() && !is_forwarded(request) {
-        let owner = state.fleet.owner_of(hash);
-        if owner != state.fleet.self_index() {
-            return Routed::Proxy { member: owner };
+    if let Some(owner) = remote_owner(state, state.fleet.owner_of(hash), request) {
+        if let Some(response) = hop(state, owner, request) {
+            return response;
         }
     }
 
@@ -1015,11 +989,11 @@ fn submit(state: &Shared, request: &Request, local_only: bool) -> Routed {
             ("cached".to_string(), Json::Bool(true)),
             ("result".to_string(), result),
         ]);
-        return Routed::Ready(Response::json(200, body.to_json()));
+        return Response::json(200, body.to_json());
     }
 
     let id = state.jobs.create(spec.clone());
-    Routed::Ready(match state.queue.try_push((id, spec)) {
+    match state.queue.try_push((id, spec)) {
         Ok(depth) => {
             state.metrics.counter("server.queue", "admitted", 1);
             let body = Json::object([
@@ -1034,51 +1008,60 @@ fn submit(state: &Shared, request: &Request, local_only: bool) -> Routed {
             state.metrics.counter("server.queue", "rejected", 1);
             Response::retry_after(503, error_body("queue full"), retry_after_hint(state))
         }
-    })
+    }
 }
 
-fn job_status(state: &Shared, request: &Request, path: &str, local_only: bool) -> Routed {
+fn job_status(state: &Shared, request: &Request, path: &str) -> Response {
     let id_text = &path["/jobs/".len()..];
     let Ok(id) = id_text.parse::<u64>() else {
-        return Routed::Ready(Response::json(400, error_body("job id must be an integer")));
+        return Response::json(400, error_body("job id must be an integer"));
     };
     // In a fleet the id encodes its owner; ids minted elsewhere are
     // proxied one hop to the member that holds the record.
     let owner = JobTable::owner_of(id, state.fleet.stride()) as usize;
-    if !local_only
-        && state.fleet.is_fleet()
-        && owner != state.fleet.self_index()
-        && !is_forwarded(request)
-    {
-        return Routed::Proxy { member: owner };
+    if let Some(owner) = remote_owner(state, owner, request) {
+        return hop(state, owner, request)
+            .unwrap_or_else(|| unreachable_owner(state, id_text, owner));
     }
-    Routed::Ready(match state.jobs.get_json(id) {
+    match state.jobs.get_json(id) {
         Some(doc) => Response::json(200, doc.to_json()),
         None => Response::json(404, error_body(&format!("no job {id}"))),
-    })
+    }
 }
 
 /// `GET /jobs/<id>/events` — routes to a live stream of the job's
-/// progress ring, a streaming relay hop when another fleet member owns
-/// the id, or `404` when no record exists (ids never minted, evicted
-/// terminal records, and cache-hit submissions, which are answered
-/// inline without a record).
-fn job_events(state: &Shared, request: &Request, path: &str, local_only: bool) -> Routed {
+/// progress ring, a relay of the owning fleet member's stream when the id
+/// belongs elsewhere, or `404` when no record exists (ids never minted,
+/// evicted terminal records, and cache-hit submissions, which are
+/// answered inline without a record).
+fn job_events(state: &Shared, request: &Request, path: &str) -> Routed {
     let tail = &path["/jobs/".len()..];
     let id_text = tail.strip_suffix("/events").unwrap_or(tail);
     let Ok(id) = id_text.parse::<u64>() else {
         return Routed::Ready(Response::json(400, error_body("job id must be an integer")));
     };
     let owner = JobTable::owner_of(id, state.fleet.stride()) as usize;
-    if !local_only
-        && state.fleet.is_fleet()
-        && owner != state.fleet.self_index()
-        && !is_forwarded(request)
-    {
-        return Routed::StreamProxy { member: owner };
+    if let Some(owner) = remote_owner(state, owner, request) {
+        // The record and its ring live only on the owner: an
+        // unreachable owner leaves nothing to stream.
+        let upstream = if state.fleet.is_alive(owner) {
+            state.fleet.open_stream(owner, request)
+        } else {
+            None
+        };
+        return match upstream {
+            Some(upstream) => {
+                state.metrics.counter("server.peers", "proxied_streams", 1);
+                Routed::Relay(upstream)
+            }
+            None => {
+                mark_dead(state, owner);
+                Routed::Ready(unreachable_owner(state, id_text, owner))
+            }
+        };
     }
     match state.jobs.progress(id) {
-        Some(progress) => Routed::Stream { progress },
+        Some(progress) => Routed::Stream(progress),
         None => Routed::Ready(Response::json(404, error_body(&format!("no job {id}")))),
     }
 }
@@ -1088,7 +1071,8 @@ fn job_events(state: &Shared, request: &Request, path: &str, local_only: bool) -
 /// `std` exposes no signal API and the workspace links no crates, but
 /// `std` itself links libc, so declaring `signal(2)` directly keeps the
 /// daemon zero-dependency. The handler only stores to an atomic —
-/// async-signal-safe — and the accept loop polls the flag every 10 ms.
+/// async-signal-safe — and the supervising thread checks the flag every
+/// tick (50 ms).
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1133,37 +1117,45 @@ mod tests {
             sweeps: SweepPool::new(None),
             results: ResultCache::new(8, None),
             fleet: Fleet::standalone(),
-            proxies: BoundedQueue::new(PROXY_QUEUE_DEPTH),
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
             started: Instant::now(),
         }
     }
 
+    /// One request through the daemon's own connection handler, over a
+    /// loopback socket; a chunked stream's body comes back dechunked.
+    fn exchange(state: &Shared, method: &str, path: &str, headers: &str, body: &str) -> Response {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let head =
+            format!("{method} {path} HTTP/1.1\r\n{headers}Content-Length: {}\r\n\r\n", body.len());
+        client.write_all(format!("{head}{body}").as_bytes()).unwrap();
+        let mut raw = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve_connection(listener.accept().unwrap().0, state));
+            client.read_to_end(&mut raw).unwrap();
+        });
+        let mut response = peers::parse_upstream_response(&raw).expect("a well-formed reply");
+        if response.content_type == STREAM_CONTENT_TYPE {
+            let mut chunks = response.body.as_str();
+            let mut body = String::new();
+            while let Some((len, rest)) = chunks.split_once("\r\n") {
+                let len = usize::from_str_radix(len, 16).expect("chunk length");
+                body.push_str(&rest[..len]);
+                chunks = &rest[len + 2..];
+            }
+            response.body = body;
+        }
+        response
+    }
+
     fn get(state: &Shared, path: &str) -> Response {
-        respond(
-            state,
-            &Request {
-                method: "GET".to_string(),
-                path: path.to_string(),
-                headers: Vec::new(),
-                body: Vec::new(),
-            },
-            Instant::now(),
-        )
+        exchange(state, "GET", path, "", "")
     }
 
     fn post(state: &Shared, path: &str, body: &str) -> Response {
-        respond(
-            state,
-            &Request {
-                method: "POST".to_string(),
-                path: path.to_string(),
-                headers: Vec::new(),
-                body: body.as_bytes().to_vec(),
-            },
-            Instant::now(),
-        )
+        exchange(state, "POST", path, "", body)
     }
 
     #[test]
@@ -1313,16 +1305,7 @@ mod tests {
         assert_eq!(json.content_type, "application/json");
         Json::parse(&json.body).expect("default /metrics body stays JSON");
 
-        let prom = respond(
-            &state,
-            &Request {
-                method: "GET".to_string(),
-                path: "/metrics".to_string(),
-                headers: vec![("accept".to_string(), "text/plain".to_string())],
-                body: Vec::new(),
-            },
-            Instant::now(),
-        );
+        let prom = exchange(&state, "GET", "/metrics", "Accept: text/plain\r\n", "");
         assert_eq!(prom.status, 200);
         assert_eq!(prom.content_type, fetchvp_tracing::prom::CONTENT_TYPE);
         assert!(
@@ -1393,7 +1376,7 @@ mod tests {
         assert_eq!(ok.status, 202);
         state.queue.close();
         worker_loop(&state);
-        // The threaded/test fallback serves the ring as one NDJSON body.
+        // A finished job's stream replays its ring and ends.
         let stream = get(&state, "/jobs/1/events");
         assert_eq!(stream.status, 200);
         assert_eq!(stream.content_type, STREAM_CONTENT_TYPE);

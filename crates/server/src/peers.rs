@@ -214,11 +214,11 @@ impl Fleet {
     }
 
     /// Opens a **streaming** hop to `member`: connects, sends `request`
-    /// (marked with [`FORWARDED_HEADER`]) and hands back the raw socket
-    /// in nonblocking mode, so the event loop can relay the peer's
-    /// chunked response bytes verbatim as they arrive — the 1-hop proxy
-    /// path of `GET /jobs/<id>/events`. `None` when the peer cannot be
-    /// reached; the caller answers 502.
+    /// (marked with [`FORWARDED_HEADER`]) and hands back the raw socket,
+    /// so the connection's thread can relay the peer's chunked response
+    /// bytes verbatim as they arrive — the 1-hop proxy path of
+    /// `GET /jobs/<id>/events`. `None` when the peer cannot be reached;
+    /// the caller answers 502.
     pub fn open_stream(&self, member: usize, request: &Request) -> Option<TcpStream> {
         let addr = self.members.get(member)?;
         let resolved = addr.to_socket_addrs().ok()?.next()?;
@@ -233,7 +233,6 @@ impl Fleet {
         );
         stream.write_all(head.as_bytes()).ok()?;
         stream.write_all(&request.body).ok()?;
-        stream.set_nonblocking(true).ok()?;
         Some(stream)
     }
 
@@ -275,7 +274,7 @@ impl Fleet {
 /// Only the pieces the daemon itself emits are understood: status code,
 /// `Content-Type`, `Retry-After` and a `Connection: close`-delimited
 /// body.
-fn parse_upstream_response(raw: &[u8]) -> Option<Response> {
+pub(crate) fn parse_upstream_response(raw: &[u8]) -> Option<Response> {
     let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
     let head = std::str::from_utf8(&raw[..head_end]).ok()?;
     let mut lines = head.split("\r\n");

@@ -6,8 +6,8 @@
 //! finished, lifecycle phase) plus a shared drop-oldest
 //! [`ProgressRing`] of [`ProgressEvent`]s. The worker thread attaches
 //! the `Arc<JobProgress>` to the pooled [`Sweep`] serving the job
-//! (`Sweep::with_progress`); the event loop's `GET /jobs/<id>/events`
-//! streamers follow the ring with per-connection cursors; and
+//! (`Sweep::with_progress`); each `GET /jobs/<id>/events` connection
+//! follows the ring with its own cursor; and
 //! `GET /jobs/<id>` reads the tally as its `progress` snapshot.
 //!
 //! The tally mutex is held across the ring push, so the

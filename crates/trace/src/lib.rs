@@ -20,7 +20,6 @@
 //! * [`TraceStats`] — instruction-mix and control-flow statistics used when
 //!   validating that the synthetic workloads resemble their SPECint95
 //!   counterparts.
-//! * [`BasicBlocks`] — static basic-block discovery used by the trace cache.
 //!
 //! Traces go to disk as chunked stores (`fetchvp-tracestore`), which
 //! encode static instructions with the [`io`] codec.
@@ -49,7 +48,6 @@
 // Public API of the hot path: every item must explain itself.
 #![deny(missing_docs)]
 
-pub mod bb;
 pub mod columns;
 pub mod exec;
 pub mod io;
@@ -57,7 +55,6 @@ pub mod memory;
 pub mod record;
 pub mod stats;
 
-pub use bb::{BasicBlocks, BlockId};
 pub use columns::{PreparedInstr, Slot, TraceColumns, TraceView, NO_REG};
 pub use exec::{ExecOutcome, Executor};
 pub use memory::SparseMemory;

@@ -130,10 +130,10 @@ pub fn start_fleet(config: ServerConfig) -> (Running, Running) {
     let mut handles = servers.into_iter();
     let fleet = ((addr_a, handles.next().unwrap()), (addr_b, handles.next().unwrap()));
     // `Server::bind` already bound both listeners, so connects queue in
-    // the kernel backlog until each event loop starts — one blocking
-    // health check per member proves both are serving. Then wait for the
-    // health checkers to converge on "up": a checker that probed its
-    // peer before that peer's event loop started has it briefly down,
+    // the kernel backlog until each member's connection threads start —
+    // one blocking health check per member proves both are serving. Then
+    // wait for the health checkers to converge on "up": a checker that
+    // probed its peer before that peer started serving has it briefly down,
     // and a down peer would skew shard routing (jobs run locally).
     for addr in [addr_a, addr_b] {
         let reply = request(addr, "GET", "/healthz", None);

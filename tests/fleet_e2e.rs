@@ -6,7 +6,8 @@
 //!
 //! 1. **Shard routing** — every member agrees who owns a spec; a request
 //!    landing on the wrong member is proxied to the owner, visible in the
-//!    returned job id (`id % members == owner index`).
+//!    returned job id (`id % members == owner index`), and a job's event
+//!    stream is relayed from its owner byte for byte.
 //! 2. **Fleet-wide result cache** — a spec answered by its owner is a
 //!    cache hit no matter which member the repeat lands on. (That proxied
 //!    and cached results are byte-identical to the original run is the
@@ -21,7 +22,8 @@
 //! 5. **A warm fleet under concurrent load** — hundreds of repeats from
 //!    several client threads, spread over both members, are all answered
 //!    from the result cache with the warmed bytes, locally or over the
-//!    proxy hop, and no connection fails.
+//!    proxy hop, and no connection fails; sequential repeats over the hop
+//!    cost a round-trip each.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -91,6 +93,19 @@ fn fleet_shards_jobs_and_proxies_lookups() {
         assert_eq!(doc.get("job").and_then(Json::as_u64), Some(id_b), "lookup via {member}");
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
     }
+
+    // So does its event stream: A relays B's response verbatim — head,
+    // chunk framing and final chunk — and ends it when B does.
+    let events = format!("/jobs/{id_b}/events");
+    let direct = request(addr_b, "GET", &events, None);
+    assert_eq!(direct.status, 200, "{}", direct.body);
+    assert!(direct.body.ends_with("0\r\n\r\n"), "a finished job's stream ends cleanly");
+    let relayed = request(addr_a, "GET", &events, None);
+    assert_eq!(
+        (relayed.status, &relayed.headers, &relayed.body),
+        (direct.status, &direct.headers, &direct.body),
+        "the relay must pass the owner's bytes through unchanged"
+    );
 
     // Fleet-wide cache: the repeat of a B-owned spec submitted to A is
     // routed to B and answered from B's result cache.
@@ -252,14 +267,19 @@ fn a_warm_fleet_answers_concurrent_repeats_from_cache_locally_and_proxied() {
     ];
     const CLIENTS: usize = 4;
     const REPEATS_PER_CLIENT: usize = 100;
+    const SEQUENTIAL_PROXIED: usize = 50;
     let ((addr_a, handle_a), (addr_b, handle_b)) = fleet();
     let members = [addr_a, addr_b];
 
-    // Warm: each spec runs once to completion on its owner.
+    // Warm: each spec runs once to completion on its owner, whose index
+    // the job id's parity names.
+    let mut owners = Vec::new();
     let warmed: Vec<String> = SPECS
         .iter()
         .map(|spec| {
-            let doc = wait_for_job(addr_a, submit(addr_a, spec));
+            let id = submit(addr_a, spec);
+            owners.push((id % 2) as usize);
+            let doc = wait_for_job(addr_a, id);
             assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"), "{spec}");
             doc.get("result").expect("warmed result").to_json()
         })
@@ -305,6 +325,26 @@ fn a_warm_fleet_answers_concurrent_repeats_from_cache_locally_and_proxied() {
     });
     assert_eq!(local + proxied, CLIENTS * REPEATS_PER_CLIENT);
     assert!(local > 0 && proxied > 0, "{local} local and {proxied} proxied cache hits");
+
+    // Sequential: one warmed spec asked of the member that does not own
+    // it, one request at a time. Each is a single hop to a cache hit, so
+    // the pass is bounded by round-trips, not by any polling interval.
+    let non_owner = members[1 - owners[0]];
+    let started = Instant::now();
+    for _ in 0..SEQUENTIAL_PROXIED {
+        let reply = request(non_owner, "POST", "/run", Some(SPECS[0]));
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(reply.header("X-Fetchvp-Proxied"), Some("1"), "{}", reply.body);
+        let doc = reply.json();
+        assert_eq!(doc.get("cached"), Some(&Json::Bool(true)), "{}", reply.body);
+        let result = doc.get("result").expect("inlined result").to_json();
+        assert_eq!(result, warmed[0], "{}: not the warmed bytes", SPECS[0]);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "{SEQUENTIAL_PROXIED} sequential proxied cache hits took {elapsed:?}"
+    );
 
     shutdown(addr_a, handle_a);
     shutdown(addr_b, handle_b);

@@ -8,7 +8,7 @@ use fetchvp_core::sched::{Scheduler, VpDisposition};
 use fetchvp_core::{IdealConfig, IdealMachine, VpConfig};
 use fetchvp_isa::{AluOp, Cond, Instr, Program, ProgramBuilder, Reg};
 use fetchvp_testutil::{for_cases, Rng};
-use fetchvp_trace::{trace_program, BasicBlocks, Trace};
+use fetchvp_trace::{trace_program, Trace};
 use fetchvp_tracestore::{StoreWriter, TraceStore};
 
 /// A random straight-line program over a handful of registers, closed with
@@ -79,26 +79,6 @@ fn trace_io_round_trips() {
         }
     });
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
-}
-
-/// Basic blocks tile the program and each holds at most one control
-/// instruction, at its end.
-#[test]
-fn basic_blocks_tile() {
-    for_cases(48, |case, rng| {
-        let program = random_program(rng);
-        let bbs = BasicBlocks::analyze(&program);
-        let mut covered = 0u64;
-        for block in bbs.blocks() {
-            let (start, end) = (bbs.start(block), bbs.end(block));
-            assert!(start < end, "case {case}");
-            covered += end - start;
-            for pc in start..end.saturating_sub(1) {
-                assert!(!program.get(pc).unwrap().is_control(), "case {case}");
-            }
-        }
-        assert_eq!(covered, program.len() as u64, "case {case}");
-    });
 }
 
 /// The scheduler respects dataflow: a consumer never executes before an
@@ -181,8 +161,6 @@ fn tight_loop_degenerate_case() {
     let program = b.build().unwrap();
     let trace: Trace = trace_program(&program, 10_000);
     assert_eq!(trace.len(), 1 + 100 * 2);
-    let bbs = BasicBlocks::analyze(&program);
-    assert_eq!(bbs.num_blocks(), 3);
 }
 
 /// The columnar trace representation round-trips exactly: rebuilding

@@ -11,10 +11,13 @@
 //! 2. **Backpressure** — a full queue answers `503` + `Retry-After`
 //!    immediately (never blocks, never panics), and every job the server
 //!    `202`-accepted still runs to completion.
+//! 3. **Connection deadlines** — a request must arrive whole within
+//!    `read_timeout` of the accept, and a connection still waiting for
+//!    its request never holds up shutdown.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fetchvp_metrics::Json;
 use fetchvp_server::ServerConfig;
@@ -287,6 +290,14 @@ fn every_path_closes_the_connection_and_503_hints_a_retry() {
     let huge = request_with_declared_length(addr, 10 * 1024 * 1024);
     assert_eq!(huge.status, 413);
     assert_eq!(huge.header("Connection"), Some("close"));
+    // A chunked body is refused before it is read, not misread as an
+    // empty one.
+    let chunked = raw_request(
+        addr,
+        b"POST /run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    );
+    assert_eq!(chunked.status, 411, "{}", chunked.body);
+    assert_eq!(chunked.header("Connection"), Some("close"));
 
     shutdown(addr, handle);
 }
@@ -302,6 +313,98 @@ fn request_with_declared_length(addr: SocketAddr, declared: usize) -> Reply {
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read response");
     parse_reply(&raw)
+}
+
+/// Sends `bytes` verbatim in one write and reads the whole reply.
+fn raw_request(addr: SocketAddr, bytes: &[u8]) -> Reply {
+    let mut stream = TcpStream::connect(addr).expect("connect to server");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.write_all(bytes).expect("write request");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read response");
+    parse_reply(&raw)
+}
+
+/// The read deadline is the whole request's, counted from the accept: a
+/// client sending one byte every 100 ms never completes its request, so
+/// it is hung up on with no response soon after `read_timeout` — however
+/// steadily it trickles — and the daemon stays healthy.
+#[test]
+fn a_trickling_client_is_cut_off_at_the_read_deadline() {
+    let (addr, handle) =
+        start(ServerConfig { read_timeout: Duration::from_millis(300), ..ServerConfig::default() });
+    let mut stream = TcpStream::connect(addr).expect("connect to server");
+    let connected = Instant::now();
+    // The read timeout paces the trickle: one byte, then up to 100 ms
+    // listening for a reply or a hang-up.
+    stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+    let text = format!("POST /run HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 2\r\n\r\n{{}}");
+    let mut unsent = text.bytes();
+    let mut received = Vec::new();
+    loop {
+        if let Some(byte) = unsent.next() {
+            if stream.write_all(&[byte]).is_err() {
+                break;
+            }
+        }
+        let mut buf = [0u8; 512];
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => received.extend_from_slice(&buf[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break,
+        }
+        assert!(
+            connected.elapsed() < Duration::from_millis(1500),
+            "a trickling client was still connected after {:?}",
+            connected.elapsed()
+        );
+    }
+    let cut_after = connected.elapsed();
+    assert!(cut_after < Duration::from_millis(1500), "cut after {cut_after:?}");
+    assert!(
+        received.is_empty(),
+        "a request cut off at its deadline gets no response, got:\n{}",
+        String::from_utf8_lossy(&received)
+    );
+
+    assert_eq!(request(addr, "GET", "/healthz", None).status, 200);
+    let metrics = request(addr, "GET", "/metrics", None).json();
+    let io_errors = metrics
+        .get("counters")
+        .and_then(|c| c.get("server.requests.io_error"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    assert!(io_errors >= 1, "the cut-off request must count as an io_error");
+
+    shutdown(addr, handle);
+}
+
+/// Shutdown does not wait out a connection that never sends its request:
+/// with a 30 s read timeout and one such connection open, `run()` still
+/// returns promptly after the `POST /shutdown` reply.
+#[test]
+fn an_idle_connection_does_not_hold_up_shutdown() {
+    let (addr, handle) =
+        start(ServerConfig { read_timeout: Duration::from_secs(30), ..ServerConfig::default() });
+    let idle = TcpStream::connect(addr).expect("connect to server");
+    // Accepts are served in arrival order, so once this round-trip is
+    // answered the idle connection has been accepted too.
+    assert_eq!(request(addr, "GET", "/healthz", None).status, 200);
+
+    let reply = request(addr, "POST", "/shutdown", None);
+    assert_eq!(reply.status, 200, "shutdown refused: {}", reply.body);
+    let asked = Instant::now();
+    while !handle.is_finished() {
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "run() still had not returned {:?} after the shutdown reply",
+            asked.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().expect("server thread").expect("server run() returned an error");
+    drop(idle);
 }
 
 /// The on-disk trace cache survives daemon restarts: a second server
