@@ -348,9 +348,9 @@ impl Sweep {
     }
 
     /// A sweep sharing this sweep's cache and worker count that reports
-    /// machine-sweep progress to `sink` — how the server attaches a job's
-    /// progress ring to the pooled sweep serving it. Results are
-    /// bit-identical with or without an observer.
+    /// machine-sweep progress to `sink` — how the server attaches a job
+    /// (its own progress observer) to the pooled sweep serving it.
+    /// Results are bit-identical with or without an observer.
     pub fn with_progress(&self, sink: Arc<dyn SweepProgress>) -> Sweep {
         Sweep { cache: Arc::clone(&self.cache), jobs: self.jobs, progress: Some(sink) }
     }

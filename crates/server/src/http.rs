@@ -30,6 +30,11 @@ pub struct Request {
 }
 
 impl Request {
+    /// A `GET` of `path` with no headers and no body.
+    pub fn get(path: &str) -> Request {
+        Request { method: "GET".to_string(), path: path.to_string(), headers: vec![], body: vec![] }
+    }
+
     /// The first value of a header, looked up case-insensitively.
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
@@ -66,7 +71,10 @@ impl From<io::Error> for RequestError {
 /// head or body is rejected *before* the peer finishes sending it, so a
 /// slow adversary cannot balloon memory while staying under the radar,
 /// and so is any `Transfer-Encoding` (only `Content-Length` framing is
-/// read here).
+/// read here). A header line must be `name: value` with a token name
+/// (RFC 9112 §5): a line without a colon, whitespace before the colon
+/// and an obs-fold continuation line are `400`s, since a proxy that
+/// drops or re-joins such a line would frame the body differently.
 /// Bytes past `Content-Length` (pipelined follow-ups, keep-alive
 /// chatter) are ignored: this daemon answers one request per connection.
 pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Request>, RequestError> {
@@ -92,8 +100,13 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Request>, Request
     let mut transfer_encoding = false;
     let mut headers = Vec::new();
     for line in lines {
-        let Some((name, value)) = line.split_once(':') else { continue };
-        let (name, value) = (name.trim().to_ascii_lowercase(), value.trim().to_string());
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(RequestError::Malformed("header line without a colon"));
+        };
+        if name.is_empty() || !name.bytes().all(is_token_byte) {
+            return Err(RequestError::Malformed("header name is not a token"));
+        }
+        let (name, value) = (name.to_ascii_lowercase(), value.trim().to_string());
         transfer_encoding |= name == "transfer-encoding";
         if name == "content-length" {
             let parsed =
@@ -150,6 +163,11 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
         }
         buf.extend_from_slice(&chunk[..n]);
     }
+}
+
+/// Whether `byte` may appear in a header name (RFC 9110 §5.6.2 `tchar`).
+fn is_token_byte(byte: u8) -> bool {
+    byte.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&byte)
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -413,6 +431,21 @@ mod tests {
             Err(RequestError::Malformed("Transfer-Encoding with Content-Length"))
         ));
         assert_eq!(reason_phrase(411), "Length Required");
+    }
+
+    #[test]
+    fn malformed_header_lines_cannot_set_the_body_length() {
+        // Regression: whitespace before the colon, an obs-fold line and a
+        // line without a colon each parsed and returned a 2-byte body; a
+        // proxy that drops such a line sees no body (RFC 9112 §5.1, §5.2).
+        for head in ["Content-Length : 2", "X: y\r\n Content-Length: 2", "Content-Length 2"] {
+            let parsed = parse_bytes(format!("POST /run HTTP/1.1\r\n{head}\r\n\r\nok").as_bytes());
+            assert!(matches!(parsed, Err(RequestError::Malformed(_))), "{head:?}: {parsed:?}");
+        }
+        // Optional whitespace around a value is still fine.
+        let req =
+            parse_bytes(b"POST /run HTTP/1.1\r\nContent-Length:2\r\nX: b \r\n\r\nok").unwrap();
+        assert_eq!((req.body.as_slice(), req.header("x")), (&b"ok"[..], Some("b")));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! |---|---|
 //! | `POST /run` | validate a job spec; `202` + job id (or `200` with the inlined result on a cache hit), `400` on a bad spec, `503` + `Retry-After` when the queue is full |
 //! | `GET /jobs/<id>` | the job's status/result document (with a live `progress` snapshot); `404` for unknown ids; proxied to the owning fleet member when the id belongs elsewhere |
-//! | `GET /jobs/<id>/events` | **live NDJSON progress stream** over HTTP/1.1 chunked transfer: one [`fetchvp_tracing::ProgressEvent`] line per chunk until the terminal `done`/`failed` event, relayed 1 hop from the owning fleet member when the id belongs elsewhere |
+//! | `GET /jobs/<id>/events` | **live NDJSON progress stream** over HTTP/1.1 chunked transfer: one [`jobs::Event`] line per chunk until the terminal `done`/`failed` event, relayed 1 hop from the owning fleet member when the id belongs elsewhere |
 //! | `GET /fleet/metrics` | fleet-wide observability: any member fans the request out to its peers and returns the merged per-member snapshots (version, uptime, live jobs with progress, metrics) plus fleet-summed counters, with dead members marked |
 //! | `GET /healthz` | liveness + queue/worker summary (+ per-peer liveness in a fleet) |
 //! | `GET /metrics` | live [`fetchvp_metrics::Registry`] snapshot: `server.*` counters alongside accumulated simulator counters (`trace.*`, `sched.*`, …) |
@@ -43,11 +43,12 @@
 //! * **Isolation** — a panicking job marks itself `failed` and the worker
 //!   lives on; a panicking worker can never take `GET /metrics` down
 //!   (the registry lock is poison-proof).
-//! * **Bounded connections** — at most [`ServerConfig::max_connections`]
-//!   connections served at once, one thread each (excess clients wait in
-//!   the kernel's accept backlog); a request must arrive whole within the
+//! * **Bounded connections** — at most [`MAX_CONNECTIONS`] connections
+//!   served at once, one thread each (excess clients wait in the
+//!   kernel's accept backlog); a request must arrive whole within the
 //!   read timeout of its accept, a client that stops reading is dropped
-//!   after the write timeout, and request sizes are capped.
+//!   after [`WRITE_TIMEOUT`], and bodies are capped at
+//!   [`MAX_BODY_BYTES`].
 //! * **No dropped jobs** — shutdown drains everything that was `202`ed.
 
 #![deny(missing_docs)]
@@ -59,7 +60,6 @@ pub mod cache;
 pub mod http;
 pub mod jobs;
 pub mod peers;
-pub mod progress;
 pub mod queue;
 
 use std::io::{self, Read, Write};
@@ -77,9 +77,8 @@ use fetchvp_tracing::{log_with, Level};
 
 use cache::ResultCache;
 use http::{error_body, Request, RequestError, Response};
-use jobs::JobTable;
+use jobs::{Job, JobTable};
 use peers::Fleet;
-use progress::JobProgress;
 use queue::BoundedQueue;
 
 /// How the daemon is sized and where it listens.
@@ -91,17 +90,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; pushes beyond it get `503`.
     pub queue_depth: usize,
-    /// Maximum connections served at once — one connection thread each;
-    /// excess clients wait in the kernel's accept backlog.
-    pub max_connections: usize,
     /// Per-request read deadline: the whole request must arrive within it
     /// of the accept.
     pub read_timeout: Duration,
-    /// How long a response or stream write may stall: a client that
-    /// stops reading is dropped after it.
-    pub write_timeout: Duration,
-    /// Maximum accepted `POST` body, bytes.
-    pub max_body_bytes: usize,
     /// Content-addressed trace directory. When set, benchmark traces are
     /// generated once to disk and replayed chunk-by-chunk, which lifts the
     /// `trace_len` cap for machine-sweep experiments to
@@ -115,7 +106,7 @@ pub struct ServerConfig {
     /// Full fleet member list (`host:port`, including this process's own
     /// address) for `--peers` mode; empty means standalone.
     pub peers: Vec<String>,
-    /// How many progress events each job's ring retains for
+    /// How many progress events each job's log retains for
     /// `GET /jobs/<id>/events` readers; a slower reader loses the oldest
     /// events (drop-oldest), never the terminal one.
     pub progress_ring_events: usize,
@@ -127,10 +118,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7998".to_string(),
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(4)),
             queue_depth: 32,
-            max_connections: 64,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            max_body_bytes: 256 * 1024,
             trace_dir: None,
             result_cache_entries: 256,
             peers: Vec::new(),
@@ -186,6 +174,17 @@ impl SweepPool {
 /// pause after a throttled accept.
 const TICK: Duration = Duration::from_millis(50);
 
+/// Maximum connections served at once — one connection thread each;
+/// excess clients wait in the kernel's accept backlog.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a response or stream write may stall: a client that stops
+/// reading is dropped after it.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Maximum accepted `POST` body, bytes; a larger one gets `413`.
+pub const MAX_BODY_BYTES: usize = 256 * 1024;
+
 /// A quiet stream emits a `{"heartbeat": true}` frame this often, so
 /// clients (and intermediaries) can tell an idle job from a dead
 /// connection.
@@ -195,7 +194,7 @@ const STREAM_HEARTBEAT: Duration = Duration::from_secs(1);
 /// checker.
 struct Shared {
     config: ServerConfig,
-    queue: BoundedQueue<(u64, JobSpec)>,
+    queue: BoundedQueue<Arc<Job>>,
     jobs: JobTable,
     metrics: SharedRegistry,
     sweeps: SweepPool,
@@ -292,7 +291,7 @@ impl Server {
             });
             // The pool size is the connection cap: a client beyond it
             // waits in the kernel's accept backlog, not refused.
-            let connections: Vec<_> = (0..state.config.max_connections.max(1))
+            let connections: Vec<_> = (0..MAX_CONNECTIONS)
                 .map(|i| {
                     std::thread::Builder::new()
                         .name(format!("fetchvp-conn-{i}"))
@@ -386,16 +385,16 @@ fn accept_loop(listener: &TcpListener, state: &Shared) -> io::Result<()> {
 fn serve_connection(stream: TcpStream, state: &Shared) {
     let started = Instant::now();
     // Reads wait a tick at a time (see `Conn::read`); a write may stall
-    // for at most `write_timeout`.
+    // for at most `WRITE_TIMEOUT`.
     let timeouts = stream
         .set_read_timeout(Some(TICK))
-        .and_then(|()| stream.set_write_timeout(Some(state.config.write_timeout)));
+        .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)));
     if timeouts.is_err() {
         state.metrics.counter("server.requests", "io_error", 1);
         return;
     }
     let mut conn = Conn { stream, deadline: started + state.config.read_timeout, state };
-    let sent = match http::read_request(&mut conn, state.config.max_body_bytes) {
+    let sent = match http::read_request(&mut conn, MAX_BODY_BYTES) {
         Ok(request) => {
             let routed = route(state, &request);
             // A stream is metered when it is accepted: its lifetime is
@@ -407,7 +406,7 @@ fn serve_connection(stream: TcpStream, state: &Shared) {
             finish_request(state, &request, status, started);
             match routed {
                 Routed::Ready(response) => response.write_to(&mut conn.stream),
-                Routed::Stream(progress) => conn.stream_ring(&progress),
+                Routed::Stream(job) => conn.stream_log(&job),
                 Routed::Relay(upstream) => conn.relay(upstream),
             }
         }
@@ -430,7 +429,7 @@ fn serve_connection(stream: TcpStream, state: &Shared) {
         }
     };
     // A client that hung up is not an error of ours; one that stopped
-    // reading for `write_timeout` is.
+    // reading for `WRITE_TIMEOUT` is.
     if sent.is_err_and(|e| is_timeout(&e)) {
         state.metrics.counter("server.requests", "io_error", 1);
     }
@@ -475,27 +474,26 @@ impl Read for Conn<'_> {
 }
 
 impl Conn<'_> {
-    /// Streams the job's progress ring as chunked NDJSON from this
+    /// Streams the job's event log as chunked NDJSON from this
     /// connection's own cursor, cutting frames every tick: one chunk per
-    /// event, a `{"dropped": n}` notice when the ring evicted events this
+    /// event, a `{"dropped": n}` notice when the log evicted events this
     /// reader never saw (a slow client stalls only itself), a heartbeat
     /// after a quiet second, and the final chunk right after the terminal
-    /// event — always the ring's newest, so drop-oldest never loses it.
+    /// event — always the log's newest, so drop-oldest never loses it.
     /// Shutdown cuts the stream; the job keeps running.
-    fn stream_ring(&mut self, progress: &JobProgress) -> io::Result<()> {
+    fn stream_log(&mut self, job: &Job) -> io::Result<()> {
         // The head goes out with the first frames, in one write.
         let mut out = http::stream_head(200, STREAM_CONTENT_TYPE);
-        let (mut cursor, mut last_emit) = (0, Instant::now());
+        let (mut cursor, mut events, mut last_emit) = (0, Vec::new(), Instant::now());
         while !self.state.should_shutdown() {
-            let batch = progress.since(cursor);
-            cursor = batch.next_cursor;
-            if batch.dropped > 0 {
-                let notice = format!("{{\"dropped\": {}}}\n", batch.dropped);
+            let dropped = job.read_log(&mut cursor, &mut events);
+            if dropped > 0 {
+                let notice = format!("{{\"dropped\": {dropped}}}\n");
                 out.extend(http::chunk(notice.as_bytes()));
             }
-            for event in &batch.events {
+            for event in events.drain(..) {
                 out.extend(http::chunk(format!("{}\n", event.to_line()).as_bytes()));
-                if matches!(event.phase, "done" | "failed") {
+                if event.is_terminal() {
                     out.extend_from_slice(http::chunk_end());
                     return self.stream.write_all(&out);
                 }
@@ -561,16 +559,14 @@ fn health_loop(state: &Shared) {
 
 /// One pool worker: pull, run (panic-isolated), publish.
 fn worker_loop(state: &Shared) {
-    while let Some((id, spec)) = state.queue.pop() {
-        state.jobs.set_running(id);
-        let (sweep, pool_hit) = state.sweeps.sweep_for(&spec);
-        // Attach the job's progress ring so every machine sweep the spec
-        // runs feeds `GET /jobs/<id>/events`; observers never change
-        // results (the sweep determinism tests assert this).
-        let sweep = match state.jobs.progress(id) {
-            Some(progress) => sweep.with_progress(progress),
-            None => sweep,
-        };
+    while let Some(job) = state.queue.pop() {
+        job.start();
+        let spec = &job.spec;
+        let (sweep, pool_hit) = state.sweeps.sweep_for(spec);
+        // The job observes every machine sweep its spec runs, which feeds
+        // `GET /jobs/<id>/events`; observers never change results (the
+        // sweep determinism tests assert this).
+        let sweep = sweep.with_progress(job.clone());
         state.metrics.counter("server.sweep_pool", if pool_hit { "hits" } else { "misses" }, 1);
         let started = Instant::now();
         match catch_unwind(AssertUnwindSafe(|| spec.run(&sweep))) {
@@ -585,11 +581,11 @@ fn worker_loop(state: &Shared) {
                 // Results are cached by content so the next identical spec
                 // is a lookup; failures are never cached.
                 state.results.insert(spec.canonical_hash(), spec.canonical(), &outcome.result);
-                state.jobs.finish(id, outcome.result);
+                state.jobs.finish(&job, Ok(outcome.result));
             }
             Err(_) => {
                 state.metrics.counter("server.jobs", "failed", 1);
-                state.jobs.fail(id, "job panicked; see server logs".to_string());
+                state.jobs.finish(&job, Err("job panicked; see server logs".to_string()));
             }
         }
     }
@@ -604,7 +600,7 @@ enum Routed {
     /// A buffered response, ready to write.
     Ready(Response),
     /// A live `GET /jobs/<id>/events` stream of a job this process owns.
-    Stream(Arc<JobProgress>),
+    Stream(Arc<Job>),
     /// A `GET /jobs/<id>/events` stream relayed from the fleet member
     /// that owns the job: a socket with the forwarded request sent.
     Relay(TcpStream),
@@ -629,7 +625,7 @@ fn finish_request(state: &Shared, request: &Request, status: u16, started: Insta
 }
 
 /// The content type of the `GET /jobs/<id>/events` stream: newline-
-/// delimited JSON, one [`fetchvp_tracing::ProgressEvent`] line per chunk.
+/// delimited JSON, one [`jobs::Event`] line per chunk.
 pub const STREAM_CONTENT_TYPE: &str = "application/x-ndjson";
 
 /// The metric label for a request path (`/jobs/7` → `jobs`,
@@ -674,10 +670,7 @@ fn route(state: &Shared, request: &Request) -> Routed {
             state.shutdown.store(true, Ordering::SeqCst);
             Response::json(200, Json::object([status_pair("shutting down")]).to_json())
         }
-        ("GET", path) if path.starts_with("/jobs/") && path.ends_with("/events") => {
-            return job_events(state, request, path)
-        }
-        ("GET", path) if path.starts_with("/jobs/") => job_status(state, request, path),
+        ("GET", path) if path.starts_with("/jobs/") => return job_endpoint(state, request, path),
         (_, "/healthz" | "/metrics" | "/run" | "/shutdown" | "/fleet/metrics") => {
             Response::json(405, error_body("method not allowed"))
         }
@@ -828,12 +821,7 @@ fn fleet_metrics_merged(state: &Shared) -> Response {
         }
     };
     if state.fleet.is_fleet() {
-        let probe = Request {
-            method: "GET".to_string(),
-            path: "/fleet/metrics".to_string(),
-            headers: Vec::new(),
-            body: Vec::new(),
-        };
+        let probe = Request::get("/fleet/metrics");
         for (member, addr) in state.fleet.members().iter().enumerate() {
             let (status, doc) = if member == state.fleet.self_index() {
                 ("self", Some(fleet_member_json(state)))
@@ -992,8 +980,9 @@ fn submit(state: &Shared, request: &Request) -> Response {
         return Response::json(200, body.to_json());
     }
 
-    let id = state.jobs.create(spec.clone());
-    match state.queue.try_push((id, spec)) {
+    let job = state.jobs.create(spec);
+    let id = job.id;
+    match state.queue.try_push(job) {
         Ok(depth) => {
             state.metrics.counter("server.queue", "admitted", 1);
             let body = Json::object([
@@ -1011,39 +1000,28 @@ fn submit(state: &Shared, request: &Request) -> Response {
     }
 }
 
-fn job_status(state: &Shared, request: &Request, path: &str) -> Response {
-    let id_text = &path["/jobs/".len()..];
-    let Ok(id) = id_text.parse::<u64>() else {
-        return Response::json(400, error_body("job id must be an integer"));
-    };
-    // In a fleet the id encodes its owner; ids minted elsewhere are
-    // proxied one hop to the member that holds the record.
-    let owner = JobTable::owner_of(id, state.fleet.stride()) as usize;
-    if let Some(owner) = remote_owner(state, owner, request) {
-        return hop(state, owner, request)
-            .unwrap_or_else(|| unreachable_owner(state, id_text, owner));
-    }
-    match state.jobs.get_json(id) {
-        Some(doc) => Response::json(200, doc.to_json()),
-        None => Response::json(404, error_body(&format!("no job {id}"))),
-    }
-}
-
-/// `GET /jobs/<id>/events` — routes to a live stream of the job's
-/// progress ring, a relay of the owning fleet member's stream when the id
-/// belongs elsewhere, or `404` when no record exists (ids never minted,
-/// evicted terminal records, and cache-hit submissions, which are
-/// answered inline without a record).
-fn job_events(state: &Shared, request: &Request, path: &str) -> Routed {
+/// `GET /jobs/<id>` and `GET /jobs/<id>/events`: the job's document or
+/// a live stream of its event log — from the fleet member that owns the
+/// id (one proxy hop, or a relayed stream) when the id belongs elsewhere
+/// — or `404` when no job exists (ids never minted, evicted terminal
+/// jobs, and cache-hit submissions, which are answered inline).
+fn job_endpoint(state: &Shared, request: &Request, path: &str) -> Routed {
     let tail = &path["/jobs/".len()..];
-    let id_text = tail.strip_suffix("/events").unwrap_or(tail);
+    let (id_text, events) = tail.strip_suffix("/events").map_or((tail, false), |id| (id, true));
     let Ok(id) = id_text.parse::<u64>() else {
         return Routed::Ready(Response::json(400, error_body("job id must be an integer")));
     };
+    // In a fleet the id encodes its owner, the one member holding the
+    // job and its log.
     let owner = JobTable::owner_of(id, state.fleet.stride()) as usize;
     if let Some(owner) = remote_owner(state, owner, request) {
-        // The record and its ring live only on the owner: an
-        // unreachable owner leaves nothing to stream.
+        if !events {
+            let hopped = hop(state, owner, request);
+            return Routed::Ready(
+                hopped.unwrap_or_else(|| unreachable_owner(state, id_text, owner)),
+            );
+        }
+        // An unreachable owner leaves nothing to stream.
         let upstream = if state.fleet.is_alive(owner) {
             state.fleet.open_stream(owner, request)
         } else {
@@ -1060,8 +1038,9 @@ fn job_events(state: &Shared, request: &Request, path: &str) -> Routed {
             }
         };
     }
-    match state.jobs.progress(id) {
-        Some(progress) => Routed::Stream(progress),
+    match state.jobs.get(id) {
+        Some(job) if events => Routed::Stream(job),
+        Some(job) => Routed::Ready(Response::json(200, job.to_json().to_json())),
         None => Routed::Ready(Response::json(404, error_body(&format!("no job {id}")))),
     }
 }
@@ -1376,7 +1355,7 @@ mod tests {
         assert_eq!(ok.status, 202);
         state.queue.close();
         worker_loop(&state);
-        // A finished job's stream replays its ring and ends.
+        // A finished job's stream replays its event log and ends.
         let stream = get(&state, "/jobs/1/events");
         assert_eq!(stream.status, 200);
         assert_eq!(stream.content_type, STREAM_CONTENT_TYPE);

@@ -18,7 +18,7 @@
 //! marked dead and the job runs locally: a dying peer degrades the cache
 //! hit rate, not availability.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -37,23 +37,28 @@ pub const VNODES: usize = 64;
 /// such requests locally unconditionally — the single-hop guarantee.
 pub const FORWARDED_HEADER: &str = "x-fetchvp-forwarded";
 
-/// How long the proxy path waits to connect to a peer. Loopback and
-/// rack-local peers answer in well under this; anything slower is better
-/// served by running the job locally.
-const PROXY_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// How [`send`] makes one outgoing request.
+#[derive(Debug, Clone, Copy)]
+pub struct Call {
+    /// Connect timeout.
+    pub connect: Duration,
+    /// Read and write timeout once connected.
+    pub io: Duration,
+    /// Whether this is a proxy hop, marked with [`FORWARDED_HEADER`].
+    pub forwarded: bool,
+}
 
-/// Read/write timeout on an established proxy connection — kept well
-/// under the default client read timeout (5 s) so a stalled peer fails
-/// over to the local fallback while the client is still listening,
-/// instead of the hop outliving the request it was made for.
-const PROXY_IO_TIMEOUT: Duration = Duration::from_secs(2);
+/// A proxy hop or stream relay. Nearby peers connect in well under
+/// 500 ms, and slower ones are better served by running the job locally;
+/// 2 s of I/O stays under the client's 5 s read timeout, so a stalled
+/// peer fails over while the client is still listening.
+const HOP: Call =
+    Call { connect: Duration::from_millis(500), io: Duration::from_secs(2), forwarded: true };
 
-/// Connect timeout for a health probe — deliberately tight so a dead
-/// peer is detected within one probe interval.
-const PROBE_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Read timeout for a health probe response.
-const PROBE_IO_TIMEOUT: Duration = Duration::from_millis(500);
+/// A health probe: deliberately tight, so a dead peer is detected within
+/// one probe interval.
+const PROBE: Call =
+    Call { connect: Duration::from_millis(250), io: Duration::from_millis(500), forwarded: false };
 
 /// How often the health checker probes each peer.
 pub const HEALTH_INTERVAL: Duration = Duration::from_millis(500);
@@ -189,72 +194,30 @@ impl Fleet {
         }
     }
 
-    /// Forwards `request` verbatim to `member` and relays its response,
-    /// marking the hop with [`FORWARDED_HEADER`] so the receiver handles
-    /// it locally. `None` means the peer could not be reached or spoke
+    /// Forwards `request` to `member` and relays its response, marking
+    /// the hop with [`FORWARDED_HEADER`] so the receiver handles it
+    /// locally. `None` means the peer could not be reached or spoke
     /// garbage — the caller should mark it dead and fall back.
     pub fn proxy(&self, member: usize, request: &Request) -> Option<Response> {
-        let addr = self.members.get(member)?;
-        let resolved = addr.to_socket_addrs().ok()?.next()?;
-        let mut stream = TcpStream::connect_timeout(&resolved, PROXY_CONNECT_TIMEOUT).ok()?;
-        stream.set_read_timeout(Some(PROXY_IO_TIMEOUT)).ok()?;
-        stream.set_write_timeout(Some(PROXY_IO_TIMEOUT)).ok()?;
-        let head = format!(
-            "{} {} HTTP/1.1\r\nHost: {addr}\r\n{FORWARDED_HEADER}: 1\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            request.method,
-            request.path,
-            request.body.len()
-        );
-        stream.write_all(head.as_bytes()).ok()?;
-        stream.write_all(&request.body).ok()?;
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).ok()?;
-        parse_upstream_response(&raw)
+        exchange(self.members.get(member)?, request, HOP).ok()
     }
 
-    /// Opens a **streaming** hop to `member`: connects, sends `request`
-    /// (marked with [`FORWARDED_HEADER`]) and hands back the raw socket,
-    /// so the connection's thread can relay the peer's chunked response
-    /// bytes verbatim as they arrive — the 1-hop proxy path of
+    /// Opens a **streaming** hop to `member`: sends `request` (marked
+    /// with [`FORWARDED_HEADER`]) and hands back the raw socket, so the
+    /// connection's thread can relay the peer's chunked response bytes
+    /// verbatim as they arrive — the 1-hop proxy path of
     /// `GET /jobs/<id>/events`. `None` when the peer cannot be reached;
     /// the caller answers 502.
     pub fn open_stream(&self, member: usize, request: &Request) -> Option<TcpStream> {
-        let addr = self.members.get(member)?;
-        let resolved = addr.to_socket_addrs().ok()?.next()?;
-        let mut stream = TcpStream::connect_timeout(&resolved, PROXY_CONNECT_TIMEOUT).ok()?;
-        stream.set_write_timeout(Some(PROXY_IO_TIMEOUT)).ok()?;
-        let head = format!(
-            "{} {} HTTP/1.1\r\nHost: {addr}\r\n{FORWARDED_HEADER}: 1\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            request.method,
-            request.path,
-            request.body.len()
-        );
-        stream.write_all(head.as_bytes()).ok()?;
-        stream.write_all(&request.body).ok()?;
-        Some(stream)
+        send(self.members.get(member)?, request, HOP).ok()
     }
 
     /// One health probe: `GET /healthz` with tight timeouts. `true` when
     /// the peer answered 200.
     pub fn probe(&self, member: usize) -> bool {
-        let Some(addr) = self.members.get(member) else { return false };
-        let Some(resolved) = addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
-            return false;
-        };
-        let Ok(mut stream) = TcpStream::connect_timeout(&resolved, PROBE_CONNECT_TIMEOUT) else {
-            return false;
-        };
-        let _ = stream.set_read_timeout(Some(PROBE_IO_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(PROBE_IO_TIMEOUT));
-        let head = format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-        if stream.write_all(head.as_bytes()).is_err() {
-            return false;
-        }
-        let mut raw = Vec::new();
-        let _ = stream.read_to_end(&mut raw);
-        raw.starts_with(b"HTTP/1.1 200")
+        self.members.get(member).is_some_and(|addr| {
+            exchange(addr, &Request::get("/healthz"), PROBE).is_ok_and(|r| r.status == 200)
+        })
     }
 
     /// `members[i]` rendered as a metric-name segment: Prometheus metric
@@ -268,6 +231,36 @@ impl Fleet {
             })
             .unwrap_or_default()
     }
+}
+
+/// Connects to `addr` within `call.connect`, sets both socket timeouts to
+/// `call.io` and sends `request`'s method, path and body (not its
+/// headers) with `Connection: close` — the one way the daemon and its
+/// tools make a request. Returns the socket to read the answer from.
+pub fn send(addr: &str, request: &Request, call: Call) -> io::Result<TcpStream> {
+    let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| io::Error::other("no address"))?;
+    let mut stream = TcpStream::connect_timeout(&resolved, call.connect)?;
+    stream.set_read_timeout(Some(call.io))?;
+    stream.set_write_timeout(Some(call.io))?;
+    let forwarded =
+        if call.forwarded { format!("{FORWARDED_HEADER}: 1\r\n") } else { String::new() };
+    let head = format!(
+        "{} {} HTTP/1.1\r\nHost: {addr}\r\n{forwarded}Content-Length: {}\r\n\
+         Connection: close\r\n\r\n",
+        request.method,
+        request.path,
+        request.body.len()
+    );
+    stream.write_all(head.as_bytes())?;
+    stream.write_all(&request.body)?;
+    Ok(stream)
+}
+
+/// [`send`], then reads the whole answer and parses it.
+pub fn exchange(addr: &str, request: &Request, call: Call) -> io::Result<Response> {
+    let mut raw = Vec::new();
+    send(addr, request, call)?.read_to_end(&mut raw)?;
+    parse_upstream_response(&raw).ok_or_else(|| io::Error::other("malformed HTTP response"))
 }
 
 /// Parses a peer's raw HTTP/1.1 response into a relayable [`Response`].

@@ -13,10 +13,6 @@
 //!   pipeline event record plus a drop-oldest ring buffer. Each simulation
 //!   run (and therefore each sweep worker thread) owns its own ring, so
 //!   capture is lock-free by construction.
-//! - [`ProgressEvent`] / [`ProgressRing`] — structured job-progress
-//!   events in a *shared* drop-oldest ring with cursor readers: the
-//!   transport between the batch kernel's progress seam and the server's
-//!   live `GET /jobs/<id>/events` stream.
 //! - [`chrome::chrome_trace`] and [`prom::render`] — deterministic
 //!   exporters: Chrome trace-event JSON (loadable in Perfetto / `chrome://
 //!   tracing`) and Prometheus text exposition over a
@@ -38,9 +34,7 @@ pub mod chrome;
 pub mod prom;
 
 mod filter;
-mod progress;
 mod witness;
 
 pub use filter::{enabled, log_with, Filter, Level};
-pub use progress::{ProgressBatch, ProgressEvent, ProgressRing};
 pub use witness::{Event, EventKind, EventSink, Lane, Ring};

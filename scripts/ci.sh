@@ -47,10 +47,14 @@ cargo test $OFFLINE -q -p fetchvp-experiments --test batch_vs_serial
 echo "== golden identity matrix"
 cargo test $OFFLINE -q -p fetchvp-server --test golden_identity
 
-# HTTP reader regressions: trailing keep-alive bytes, exact body reads and
-# duplicate Content-Length handling.
-echo "== http reader regressions"
-cargo test $OFFLINE -q -p fetchvp-server --lib http::
+# The daemon's wire and lifecycle unit gates (also covered by the
+# workspace test run above; named here so a regression fails under its
+# own name): the HTTP reader's framing and smuggling cases (trailing
+# keep-alive bytes, exact body reads, duplicate Content-Length,
+# Transfer-Encoding, malformed header lines) and the job table's
+# lifecycle, event log and eviction.
+echo "== http reader and job table regressions"
+cargo test $OFFLINE -q -p fetchvp-server --lib -- http:: jobs::
 
 # Out-of-core tracestore: chunked round-trip, corruption-hardening and
 # cache-semantics tests (also covered by the workspace test run above;

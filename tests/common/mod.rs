@@ -74,6 +74,10 @@ pub fn submit(addr: SocketAddr, spec: &str) -> u64 {
 }
 
 /// Polls `GET /jobs/<id>` until the job reaches a terminal status.
+///
+/// Every document read must agree with itself: `status` equals
+/// `progress.phase`, a `done` document carries its `result` at 100%, and
+/// a `failed` one carries its `error`.
 pub fn wait_for_job(addr: SocketAddr, id: u64) -> Json {
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
@@ -81,7 +85,16 @@ pub fn wait_for_job(addr: SocketAddr, id: u64) -> Json {
         assert_eq!(reply.status, 200, "job {id} lookup failed: {}", reply.body);
         let doc = reply.json();
         let status = doc.get("status").and_then(Json::as_str).expect("status field").to_string();
-        if status == "done" || status == "failed" {
+        let phase = doc.get_path("progress.phase").and_then(Json::as_str);
+        assert_eq!(phase, Some(status.as_str()), "job {id}: status vs phase:\n{}", reply.body);
+        let percent = doc.get_path("progress.percent").and_then(Json::as_u64);
+        let complete = match status.as_str() {
+            "done" => Some(doc.get("result").is_some() && percent == Some(100)),
+            "failed" => Some(doc.get("error").is_some()),
+            _ => None,
+        };
+        if let Some(complete) = complete {
+            assert!(complete, "job {id} is {status} without its outcome:\n{}", reply.body);
             return doc;
         }
         assert!(Instant::now() < deadline, "job {id} stuck in `{status}`");

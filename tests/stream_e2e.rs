@@ -8,13 +8,13 @@
 //! 1. **Live monotonicity** — a streamed job's `instructions_done`
 //!    values never decrease in seq order, and the stream ends with the
 //!    terminal event matching the polled job document.
-//! 2. **Slow readers** — a reader that falls behind a tiny ring loses
+//! 2. **Slow readers** — a reader that falls behind a tiny event log loses
 //!    the *oldest* events, is told how many via a `{"dropped": n}`
 //!    notice, and still receives the terminal event.
 //! 3. **Mid-stream disconnects** — a client hanging up mid-stream leaves
 //!    the daemon healthy: the job still completes and new work runs.
 //! 4. **Terminal replay** — streaming an already-finished job replays
-//!    the retained ring and closes immediately.
+//!    the retained event log and closes immediately.
 //! 5. **Cache hits and bad ids** — a result-cache hit mints no job, so
 //!    there is nothing to stream: unknown ids answer a plain `404`,
 //!    malformed ids a `400` (never a hung chunked response).
