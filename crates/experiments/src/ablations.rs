@@ -1,35 +1,15 @@
 //! Ablation studies beyond the paper's figures.
 //!
 //! The paper fixes most design parameters (window 40, 2-bit classification,
-//! one predictor, one trace-cache policy). These runners sweep the choices
+//! one predictor, one trace-cache policy). These studies sweep the choices
 //! `DESIGN.md` calls out, quantifying how sensitive the headline result is
-//! to each:
-//!
-//! * [`bank_sweep_with`] — how many banks the §4 interleaved prediction table
-//!   needs before router denials stop costing performance.
-//! * [`window_sweep_with`] — the instruction-window size the ideal machine needs
-//!   before fetch bandwidth (not the window) is the binding constraint.
-//! * [`confidence_sweep_with`] — the classification threshold's
-//!   coverage/accuracy trade-off (§3.1's saturating-counter unit).
-//! * [`predictor_comparison_with`] — last-value vs stride vs two-delta vs the
-//!   §4.2 hybrid, on equal footing.
-//! * [`partial_matching_with`] — the trace-cache policy alternative of paper
-//!   reference \[6\] (Friendly, Patel & Patt).
-//! * [`btb_sensitivity_with`] — branch predictors of increasing quality under
-//!   the §5 machine, quantifying the paper's closing remark that BTB
-//!   accuracy directly scales the value-prediction gain.
-//! * [`fetch_mechanisms_with`] — the §2.2 high-bandwidth fetch mechanisms
-//!   (taken-branch-limited, branch address cache, trace cache) compared
-//!   head-to-head.
-//! * [`penalty_sweep_with`] — branch/value misprediction penalties around the
-//!   paper's (3, 1) operating point.
-//! * [`tc_geometry_with`] — trace-cache size and line length.
-//! * [`hint_study_with`] — the hybrid predictor's dynamic classification vs the
-//!   profiling hints of §4.2 (reference \[9\]).
-//! * [`model_assumptions_with`] — relaxing the §3 idealizations (structural
-//!   hazards, memory dependencies) one at a time.
-//! * [`seed_stability_with`] — the Figure 3.1 averages across five workload
-//!   seeds, showing the conclusions do not hinge on one dataset.
+//! to each. Ten are machine [`Grid`]s, each advancing all of its machines,
+//! per benchmark, in batched lockstep over one trace walk: [`bank_sweep`],
+//! [`window_sweep`], [`confidence_sweep`], [`predictor_comparison`],
+//! [`partial_matching`], [`btb_sensitivity`], [`fetch_mechanisms`],
+//! [`penalty_sweep`], [`tc_geometry`] and [`model_assumptions`]. Two have
+//! their own shape: [`hint_study_with`] walks each trace twice, and
+//! [`seed_stability_with`] runs one Figure 3.1 sweep per workload seed.
 
 use fetchvp_bpred::{GshareConfig, TwoLevelConfig};
 use fetchvp_core::{
@@ -42,173 +22,96 @@ use fetchvp_predictor::{HybridPredictor, PredictorStats, StridePredictor, ValueP
 use fetchvp_tracestore::TraceSource;
 use fetchvp_workloads::Workload;
 
-use crate::report::{num, pct, Table};
+use crate::grid::{column_means, vp_pairs, Grid, Layout, Measure};
+use crate::report::{pct, Table};
 use crate::sweep::{fold_slots, Sweep};
 use crate::{mean, ExperimentConfig};
 
-/// Per-workload rows of (coverage, accuracy, speedup) triples, one
-/// column per swept predictor variant.
-type VpTripleRows = Vec<(&'static str, Vec<(f64, f64, f64)>)>;
-
-/// The arithmetic mean of column `i` across per-workload result rows.
-fn column_mean<R>(rows: &[(&'static str, Vec<R>)], i: usize, f: impl Fn(&R) -> f64) -> f64 {
-    mean(&rows.iter().map(|(_, cols)| f(&cols[i])).collect::<Vec<_>>())
+/// The headers of a grid's table.
+fn headers(names: &[&str]) -> Vec<String> {
+    names.iter().map(|s| s.to_string()).collect()
 }
 
-/// The bank counts swept by [`bank_sweep_with`].
+/// One label cell per variant.
+fn labels<T: ToString>(variants: impl IntoIterator<Item = T>) -> Layout {
+    Layout::Variants(variants.into_iter().map(|v| vec![v.to_string()]).collect())
+}
+
+/// Per pair laid out by [`vp_pairs`]: the baseline's IPC and the pair's speedup.
+fn ipc_and_speedup(pairs: usize) -> Vec<Measure> {
+    (0..pairs).flat_map(|i| [Measure::Ipc(2 * i), Measure::pair_speedup(i)]).collect()
+}
+
+/// Per VP machine `1..=n` over the baseline, config 0: coverage,
+/// accuracy and speedup.
+fn coverage_accuracy_speedup(n: usize) -> Vec<Measure> {
+    (1..=n)
+        .flat_map(|i| {
+            [Measure::Coverage(i), Measure::Accuracy(i), Measure::Speedup { vp: i, base: 0 }]
+        })
+        .collect()
+}
+
+/// The fetch-16 ideal machine with value path `vp`.
+fn ideal16(vp: VpConfig) -> MachineConfig {
+    MachineConfig::Ideal(IdealConfig { fetch_rate: 16, vp, ..IdealConfig::default() })
+}
+
+/// The bank counts swept by [`bank_sweep`].
 pub const BANK_SWEEP: [u32; 6] = [1, 2, 4, 8, 16, 64];
 
-/// Result of the bank-count ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BankSweepResult {
-    /// Per bank count: (average speedup, average denial rate).
-    pub points: Vec<(u32, f64, f64)>,
-}
-
-impl BankSweepResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — prediction-table banks (trace cache, ideal BTB)",
-            &["banks", "avg speedup", "avg denial rate"],
-        );
-        for (banks, speedup, denial) in &self.points {
-            t.row(&[banks.to_string(), pct(*speedup), pct(*denial)]);
-        }
-        t
-    }
-}
-
-fn tc_front_end() -> FrontEnd {
-    FrontEnd::TraceCache { config: TraceCacheConfig::paper(), btb: BtbKind::Perfect }
-}
-
-/// Sweeps the number of banks in the §4 interleaved prediction table.
-///
-/// Per benchmark, the baseline and all bank counts advance in batched
-/// lockstep over one trace walk.
-pub fn bank_sweep_with(sweep: &Sweep) -> BankSweepResult {
-    let mut configs =
-        vec![MachineConfig::Realistic(RealisticConfig::paper(tc_front_end(), VpConfig::None))];
+/// How many banks the §4 interleaved prediction table needs before router
+/// denials stop costing performance: average speedup over one trace-cache
+/// baseline without VP, and denial rate, per bank count.
+pub fn bank_sweep() -> Grid {
+    let fe = FrontEnd::TraceCache { config: TraceCacheConfig::paper(), btb: BtbKind::Perfect };
+    let mut configs = vec![MachineConfig::Realistic(RealisticConfig::paper(fe, VpConfig::None))];
     configs.extend(BANK_SWEEP.iter().map(|&banks| {
         MachineConfig::Realistic(
-            RealisticConfig::paper(tc_front_end(), VpConfig::stride_infinite())
+            RealisticConfig::paper(fe, VpConfig::stride_infinite())
                 .with_banked(BankedConfig::new(banks)),
         )
     }));
-    let rows: Vec<(&'static str, Vec<(f64, f64)>)> = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            let (base, vps) = (&results[0], &results[1..]);
-            let cols = vps
-                .iter()
-                .map(|vp| {
-                    let banked = vp.banked_stats.as_ref().expect("banked stats");
-                    (vp.speedup_over(base), banked.denial_rate())
-                })
-                .collect();
-            (name, cols)
-        })
-        .collect();
-    BankSweepResult {
-        points: BANK_SWEEP
-            .iter()
-            .enumerate()
-            .map(|(i, &banks)| {
-                (banks, column_mean(&rows, i, |c| c.0), column_mean(&rows, i, |c| c.1))
-            })
+    Grid {
+        title: "Ablation — prediction-table banks (trace cache, ideal BTB)".into(),
+        headers: headers(&["banks", "avg speedup", "avg denial rate"]),
+        configs,
+        extended: false,
+        measures: (1..=BANK_SWEEP.len())
+            .flat_map(|i| [Measure::Speedup { vp: i, base: 0 }, Measure::DenialRate(i)])
             .collect(),
+        layout: labels(BANK_SWEEP),
     }
 }
 
-/// The window sizes swept by [`window_sweep_with`].
+/// The window sizes swept by [`window_sweep`].
 pub const WINDOW_SWEEP: [usize; 4] = [16, 40, 80, 160];
 
-/// Result of the instruction-window ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowSweepResult {
-    /// Per window size: average VP speedup on the fetch-16 ideal machine.
-    pub points: Vec<(usize, f64)>,
-}
-
-impl WindowSweepResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — instruction-window size (ideal machine, fetch 16)",
-            &["window", "avg speedup"],
-        );
-        for (window, speedup) in &self.points {
-            t.row(&[window.to_string(), pct(*speedup)]);
-        }
-        t
-    }
-}
-
-/// Sweeps the ideal machine's instruction-window size at fetch rate 16.
-///
-/// Per benchmark, the base/VP pairs of all window sizes advance in batched
-/// lockstep over one trace walk.
-pub fn window_sweep_with(sweep: &Sweep) -> WindowSweepResult {
-    let configs: Vec<MachineConfig> = WINDOW_SWEEP
-        .iter()
-        .flat_map(|&window| {
-            [VpConfig::None, VpConfig::stride_infinite()].map(|vp| {
-                MachineConfig::Ideal(IdealConfig {
-                    fetch_rate: 16,
-                    window,
-                    vp,
-                    ..IdealConfig::default()
-                })
+/// The instruction-window size the fetch-16 ideal machine needs before
+/// fetch bandwidth, not the window, is the binding constraint: average VP
+/// speedup per window.
+pub fn window_sweep() -> Grid {
+    Grid {
+        title: "Ablation — instruction-window size (ideal machine, fetch 16)".into(),
+        headers: headers(&["window", "avg speedup"]),
+        configs: vp_pairs(&WINDOW_SWEEP, |&window, vp| {
+            MachineConfig::Ideal(IdealConfig {
+                fetch_rate: 16,
+                window,
+                vp,
+                ..IdealConfig::default()
             })
-        })
-        .collect();
-    let rows: Vec<(&'static str, Vec<f64>)> = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            (name, results.chunks_exact(2).map(|pair| pair[1].speedup_over(&pair[0])).collect())
-        })
-        .collect();
-    WindowSweepResult {
-        points: WINDOW_SWEEP
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (w, column_mean(&rows, i, |&s| s)))
-            .collect(),
+        }),
+        extended: false,
+        measures: (0..WINDOW_SWEEP.len()).map(Measure::pair_speedup).collect(),
+        layout: labels(WINDOW_SWEEP),
     }
 }
 
-/// Result of the classification-threshold ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfidenceSweepResult {
-    /// Per threshold: (threshold, avg coverage, avg accuracy, avg speedup).
-    pub points: Vec<(u8, f64, f64, f64)>,
-}
-
-impl ConfidenceSweepResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — classification threshold (2-bit counters, ideal machine, fetch 16)",
-            &["predict at", "coverage", "accuracy", "avg speedup"],
-        );
-        for (at, cov, acc, speedup) in &self.points {
-            t.row(&[at.to_string(), pct(*cov), pct(*acc), pct(*speedup)]);
-        }
-        t
-    }
-}
-
-/// Sweeps the saturating-counter confidence threshold.
-///
-/// Per benchmark, the baseline and all thresholds advance in batched
-/// lockstep over one trace walk.
-pub fn confidence_sweep_with(sweep: &Sweep) -> ConfidenceSweepResult {
+/// The classification threshold's coverage/accuracy trade-off (§3.1's
+/// saturating-counter unit): coverage, accuracy and speedup per threshold.
+pub fn confidence_sweep() -> Grid {
     let thresholds: [u8; 4] = [0, 1, 2, 3];
-    let ideal16 =
-        |vp| MachineConfig::Ideal(IdealConfig { fetch_rate: 16, vp, ..IdealConfig::default() });
     let mut configs = vec![ideal16(VpConfig::None)];
     configs.extend(thresholds.iter().map(|&predict_at| {
         ideal16(VpConfig::Predictor(PredictorKind::Stride {
@@ -217,138 +120,54 @@ pub fn confidence_sweep_with(sweep: &Sweep) -> ConfidenceSweepResult {
             kind: StrideKind::Simple,
         }))
     }));
-    let rows: VpTripleRows = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            let (base, vps) = (&results[0], &results[1..]);
-            let cols = vps
-                .iter()
-                .map(|vp| {
-                    let s = vp.vp_stats.as_ref().expect("predictor stats");
-                    (s.coverage(), s.accuracy(), vp.speedup_over(base))
-                })
-                .collect();
-            (name, cols)
-        })
-        .collect();
-    ConfidenceSweepResult {
-        points: thresholds
-            .iter()
-            .enumerate()
-            .map(|(i, &at)| {
-                (
-                    at,
-                    column_mean(&rows, i, |c| c.0),
-                    column_mean(&rows, i, |c| c.1),
-                    column_mean(&rows, i, |c| c.2),
-                )
-            })
-            .collect(),
+    Grid {
+        title: "Ablation — classification threshold (2-bit counters, ideal machine, fetch 16)"
+            .into(),
+        headers: headers(&["predict at", "coverage", "accuracy", "avg speedup"]),
+        configs,
+        extended: false,
+        measures: coverage_accuracy_speedup(thresholds.len()),
+        layout: labels(thresholds),
     }
 }
 
-/// Result of the predictor-kind comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredictorComparisonResult {
-    /// Per predictor: (name, avg coverage, avg accuracy, avg speedup).
-    pub points: Vec<(String, f64, f64, f64)>,
-}
-
-impl PredictorComparisonResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — predictor kind (ideal machine, fetch 16)",
-            &["predictor", "coverage", "accuracy", "avg speedup"],
-        );
-        for (name, cov, acc, speedup) in &self.points {
-            t.row(&[name.clone(), pct(*cov), pct(*acc), pct(*speedup)]);
-        }
-        t
-    }
-
-    /// The average speedup of one predictor.
-    pub fn speedup_of(&self, name: &str) -> Option<f64> {
-        self.points.iter().find(|(n, ..)| n == name).map(|&(_, _, _, s)| s)
-    }
-}
-
-/// Compares last-value, simple-stride, two-delta-stride, hybrid and FCM
-/// prediction under identical machine conditions (§4.2's discussion plus
-/// the context-based scheme of reference \[22\]).
-///
-/// Per benchmark, the baseline and all predictor kinds advance in batched
-/// lockstep over one trace walk.
-pub fn predictor_comparison_with(sweep: &Sweep) -> PredictorComparisonResult {
+/// Last-value, simple-stride, two-delta-stride, hybrid and FCM prediction
+/// under identical machine conditions (§4.2's discussion plus the
+/// context-based scheme of reference \[22\]).
+pub fn predictor_comparison() -> Grid {
+    let (geometry, confidence) = (TableGeometry::Infinite, ConfidenceConfig::paper());
     let kinds: [(&str, PredictorKind); 5] = [
-        (
-            "last-value",
-            PredictorKind::LastValue {
-                geometry: TableGeometry::Infinite,
-                confidence: ConfidenceConfig::paper(),
-            },
-        ),
-        (
-            "stride",
-            PredictorKind::Stride {
-                geometry: TableGeometry::Infinite,
-                confidence: ConfidenceConfig::paper(),
-                kind: StrideKind::Simple,
-            },
-        ),
+        ("last-value", PredictorKind::LastValue { geometry, confidence }),
+        ("stride", PredictorKind::Stride { geometry, confidence, kind: StrideKind::Simple }),
         (
             "stride-2delta",
-            PredictorKind::Stride {
-                geometry: TableGeometry::Infinite,
-                confidence: ConfidenceConfig::paper(),
-                kind: StrideKind::TwoDelta,
-            },
+            PredictorKind::Stride { geometry, confidence, kind: StrideKind::TwoDelta },
         ),
         ("hybrid", PredictorKind::Hybrid),
-        ("fcm", PredictorKind::Fcm { confidence: ConfidenceConfig::paper() }),
+        ("fcm", PredictorKind::Fcm { confidence }),
     ];
-    let mut configs = vec![MachineConfig::Ideal(IdealConfig {
-        fetch_rate: 16,
-        vp: VpConfig::None,
-        ..IdealConfig::default()
-    })];
-    configs.extend(kinds.iter().map(|(_, kind)| {
-        MachineConfig::Ideal(IdealConfig {
-            fetch_rate: 16,
-            vp: VpConfig::Predictor(*kind),
-            ..IdealConfig::default()
-        })
-    }));
-    let rows: VpTripleRows = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            let (base, vps) = (&results[0], &results[1..]);
-            let cols = vps
-                .iter()
-                .map(|vp| {
-                    let s = vp.vp_stats.as_ref().expect("predictor stats");
-                    (s.coverage(), s.accuracy(), vp.speedup_over(base))
-                })
-                .collect();
-            (name, cols)
-        })
-        .collect();
-    PredictorComparisonResult {
-        points: kinds
-            .iter()
-            .enumerate()
-            .map(|(i, (name, _))| {
-                (
-                    name.to_string(),
-                    column_mean(&rows, i, |c| c.0),
-                    column_mean(&rows, i, |c| c.1),
-                    column_mean(&rows, i, |c| c.2),
-                )
-            })
-            .collect(),
+    let mut configs = vec![ideal16(VpConfig::None)];
+    configs.extend(kinds.iter().map(|&(_, kind)| ideal16(VpConfig::Predictor(kind))));
+    Grid {
+        title: "Ablation — predictor kind (ideal machine, fetch 16)".into(),
+        headers: headers(&["predictor", "coverage", "accuracy", "avg speedup"]),
+        configs,
+        extended: false,
+        measures: coverage_accuracy_speedup(kinds.len()),
+        layout: labels(kinds.map(|(name, _)| name)),
     }
+}
+
+/// The seeds [`seed_stability_with`] runs: the caller's, then the first four
+/// of a fixed list that differ from it — five distinct seeds whichever the
+/// caller passes.
+fn stability_seeds(caller: u64) -> [u64; 5] {
+    const OTHERS: [u64; 5] = [1, 42, 0xDEAD_BEEF, 0x1998, 0x5EED];
+    let mut seeds = [caller; 5];
+    for (slot, seed) in seeds[1..].iter_mut().zip(OTHERS.into_iter().filter(|&s| s != caller)) {
+        *slot = seed;
+    }
+    seeds
 }
 
 /// Result of the seed-stability study.
@@ -373,8 +192,9 @@ impl SeedStabilityResult {
     }
 }
 
-/// Re-runs the Figure 3.1 averages across several workload-data seeds: the
-/// paper's conclusions must not depend on one synthetic dataset.
+/// Re-runs the Figure 3.1 averages across five distinct workload-data
+/// seeds, the caller's first: the paper's conclusions must not depend on
+/// one synthetic dataset.
 ///
 /// The caller's own seed runs on the caller's sweep. Every other seed
 /// generates *different* traces, so it cannot share the caller's
@@ -383,9 +203,8 @@ impl SeedStabilityResult {
 pub fn seed_stability_with(sweep: &Sweep) -> SeedStabilityResult {
     let cfg = sweep.config();
     let trace_dir = sweep.cache().trace_dir();
-    let seeds = [cfg.workloads.seed, 1, 42, 0xDEAD_BEEF, 0x1998];
     let mut per_rate: Vec<Vec<f64>> = vec![Vec::new(); crate::fig3_1::FETCH_RATES.len()];
-    for (i, seed) in seeds.into_iter().enumerate() {
+    for (i, seed) in stability_seeds(cfg.workloads.seed).into_iter().enumerate() {
         let seeded = ExperimentConfig {
             workloads: fetchvp_workloads::WorkloadParams { seed, ..cfg.workloads },
             ..*cfg
@@ -414,196 +233,79 @@ pub fn seed_stability_with(sweep: &Sweep) -> SeedStabilityResult {
     }
 }
 
-/// Result of the model-assumption study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelAssumptionsResult {
-    /// Per model variant: (name, avg base IPC, avg VP speedup) on the
-    /// fetch-16 ideal machine.
-    pub points: Vec<(String, f64, f64)>,
-}
-
-impl ModelAssumptionsResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — model assumptions (ideal machine, fetch 16)",
-            &["model", "base IPC", "avg VP speedup"],
-        );
-        for (name, ipc, speedup) in &self.points {
-            t.row(&[name.clone(), num(*ipc), pct(*speedup)]);
-        }
-        t
-    }
-}
-
-/// Relaxes the §3 model's idealizations one at a time: finite execution
+/// The §3 model's idealizations relaxed one at a time: finite execution
 /// units (structural hazards) and memory dependencies (store-to-load
 /// ordering), quantifying how much each assumption contributes to the
-/// reported speedups.
-///
-/// Per benchmark, the base/VP pairs of all variants advance in batched
-/// lockstep over one trace walk.
-pub fn model_assumptions_with(sweep: &Sweep) -> ModelAssumptionsResult {
+/// reported speedups on the fetch-16 ideal machine.
+pub fn model_assumptions() -> Grid {
     let variants: [(&str, Option<usize>, bool); 4] = [
         ("paper model (no structural/memory constraints)", None, false),
         ("+ memory dependencies", None, true),
         ("+ 8 execution units", Some(8), false),
         ("+ both", Some(8), true),
     ];
-    let configs: Vec<MachineConfig> = variants
-        .iter()
-        .flat_map(|&(_, exec_units, memory_deps)| {
-            [VpConfig::None, VpConfig::stride_infinite()].map(|vp| {
-                MachineConfig::Ideal(IdealConfig {
-                    fetch_rate: 16,
-                    vp,
-                    exec_units,
-                    memory_deps,
-                    ..IdealConfig::default()
-                })
+    Grid {
+        title: "Ablation — model assumptions (ideal machine, fetch 16)".into(),
+        headers: headers(&["model", "base IPC", "avg VP speedup"]),
+        configs: vp_pairs(&variants, |&(_, exec_units, memory_deps), vp| {
+            MachineConfig::Ideal(IdealConfig {
+                fetch_rate: 16,
+                vp,
+                exec_units,
+                memory_deps,
+                ..IdealConfig::default()
             })
-        })
-        .collect();
-    let rows: Vec<(&'static str, Vec<(f64, f64)>)> = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            let cols = results
-                .chunks_exact(2)
-                .map(|pair| (pair[0].ipc(), pair[1].speedup_over(&pair[0])))
-                .collect();
-            (name, cols)
-        })
-        .collect();
-    ModelAssumptionsResult {
-        points: variants
-            .iter()
-            .enumerate()
-            .map(|(i, (name, _, _))| {
-                (name.to_string(), column_mean(&rows, i, |c| c.0), column_mean(&rows, i, |c| c.1))
-            })
-            .collect(),
+        }),
+        extended: false,
+        measures: ipc_and_speedup(variants.len()),
+        layout: labels(variants.map(|(name, ..)| name)),
     }
 }
 
-/// Result of the misprediction-penalty sensitivity study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PenaltySweepResult {
-    /// Per (branch penalty, value penalty): average VP speedup at n=4 with
-    /// the 2-level BTB.
-    pub points: Vec<(u64, u64, f64)>,
-}
-
-impl PenaltySweepResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — misprediction penalties (conventional fetch, n=4, 2-level BTB)",
-            &["branch penalty", "value penalty", "avg VP speedup"],
-        );
-        for (bp, vp, speedup) in &self.points {
-            t.row(&[bp.to_string(), vp.to_string(), pct(*speedup)]);
-        }
-        t
-    }
-}
-
-/// Sweeps the branch- and value-misprediction penalties around the paper's
-/// (3, 1) operating point.
-///
-/// Per benchmark, the base/VP pairs of all grid points advance in batched
-/// lockstep over one trace walk.
-pub fn penalty_sweep_with(sweep: &Sweep) -> PenaltySweepResult {
-    let grid: [(u64, u64); 5] = [(0, 1), (3, 0), (3, 1), (3, 3), (10, 1)];
+/// The branch- and value-misprediction penalties around the paper's (3, 1)
+/// operating point, on conventional fetch at n = 4 with the 2-level BTB.
+pub fn penalty_sweep() -> Grid {
+    let penalties: [(u64, u64); 5] = [(0, 1), (3, 0), (3, 1), (3, 3), (10, 1)];
     let fe =
         FrontEnd::Conventional { width: 40, max_taken: Some(4), btb: BtbKind::two_level_paper() };
-    let configs: Vec<MachineConfig> = grid
-        .iter()
-        .flat_map(|&(branch_penalty, value_penalty)| {
-            [VpConfig::None, VpConfig::stride_infinite()].map(|vp| {
-                MachineConfig::Realistic(RealisticConfig {
-                    branch_penalty,
-                    value_penalty,
-                    ..RealisticConfig::paper(fe, vp)
-                })
+    Grid {
+        title: "Ablation — misprediction penalties (conventional fetch, n=4, 2-level BTB)".into(),
+        headers: headers(&["branch penalty", "value penalty", "avg VP speedup"]),
+        configs: vp_pairs(&penalties, |&(branch_penalty, value_penalty), vp| {
+            MachineConfig::Realistic(RealisticConfig {
+                branch_penalty,
+                value_penalty,
+                ..RealisticConfig::paper(fe, vp)
             })
-        })
-        .collect();
-    let rows: Vec<(&'static str, Vec<f64>)> = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            (name, results.chunks_exact(2).map(|pair| pair[1].speedup_over(&pair[0])).collect())
-        })
-        .collect();
-    PenaltySweepResult {
-        points: grid
-            .iter()
-            .enumerate()
-            .map(|(i, &(bp, vp))| (bp, vp, column_mean(&rows, i, |&s| s)))
-            .collect(),
+        }),
+        extended: false,
+        measures: (0..penalties.len()).map(Measure::pair_speedup).collect(),
+        layout: Layout::Variants(
+            penalties.iter().map(|(b, v)| vec![b.to_string(), v.to_string()]).collect(),
+        ),
     }
 }
 
-/// Result of the trace-cache geometry sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TcGeometryResult {
-    /// Per geometry: (entries, line size, avg base IPC, avg VP speedup).
-    pub points: Vec<(usize, usize, f64, f64)>,
-}
-
-impl TcGeometryResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — trace-cache geometry (2-level BTB, stride VP)",
-            &["entries", "line instrs", "base IPC", "avg VP speedup"],
-        );
-        for (entries, line, ipc, speedup) in &self.points {
-            t.row(&[entries.to_string(), line.to_string(), num(*ipc), pct(*speedup)]);
-        }
-        t
-    }
-}
-
-/// Sweeps the trace-cache size and line length around the paper's
-/// 64-entry, 32-instruction design point — §5's "improving the performance
-/// of the trace cache".
-///
-/// Per benchmark, the base/VP pairs of all geometries advance in batched
-/// lockstep over one trace walk.
-pub fn tc_geometry_with(sweep: &Sweep) -> TcGeometryResult {
+/// The trace-cache size and line length around the paper's 64-entry,
+/// 32-instruction design point — §5's "improving the performance of the
+/// trace cache".
+pub fn tc_geometry() -> Grid {
     let geometries: [(usize, usize); 4] = [(16, 16), (64, 16), (64, 32), (256, 32)];
-    let configs: Vec<MachineConfig> = geometries
-        .iter()
-        .flat_map(|&(entries, max_instrs)| {
+    Grid {
+        title: "Ablation — trace-cache geometry (2-level BTB, stride VP)".into(),
+        headers: headers(&["entries", "line instrs", "base IPC", "avg VP speedup"]),
+        configs: vp_pairs(&geometries, |&(entries, max_instrs), vp| {
             let fe = FrontEnd::TraceCache {
                 config: TraceCacheConfig { entries, max_instrs, ..TraceCacheConfig::paper() },
                 btb: BtbKind::two_level_paper(),
             };
-            [VpConfig::None, VpConfig::stride_infinite()]
-                .map(|vp| MachineConfig::Realistic(RealisticConfig::paper(fe, vp)))
-        })
-        .collect();
-    let rows: Vec<(&'static str, Vec<(f64, f64)>)> = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            let cols = results
-                .chunks_exact(2)
-                .map(|pair| (pair[0].ipc(), pair[1].speedup_over(&pair[0])))
-                .collect();
-            (name, cols)
-        })
-        .collect();
-    TcGeometryResult {
-        points: geometries
-            .iter()
-            .enumerate()
-            .map(|(i, &(e, l))| {
-                (e, l, column_mean(&rows, i, |c| c.0), column_mean(&rows, i, |c| c.1))
-            })
-            .collect(),
+            MachineConfig::Realistic(RealisticConfig::paper(fe, vp))
+        }),
+        extended: false,
+        measures: ipc_and_speedup(geometries.len()),
+        layout: Layout::Variants(
+            geometries.iter().map(|(e, l)| vec![e.to_string(), l.to_string()]).collect(),
+        ),
     }
 }
 
@@ -641,21 +343,16 @@ impl HintStudyResult {
 /// over the trace).
 pub fn hint_study_with(sweep: &Sweep) -> HintStudyResult {
     let names = ["stride", "hybrid (dynamic)", "hybrid (profiled hints)"];
-    let rows = sweep.per_workload(hint_row);
-    HintStudyResult {
-        points: names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                (name.to_string(), column_mean(&rows, i, |c| c.0), column_mean(&rows, i, |c| c.1))
-            })
-            .collect(),
-    }
+    let rows: Vec<_> =
+        sweep.per_workload(hint_row).into_iter().map(|(n, row)| (n.to_string(), row)).collect();
+    let means = column_means(&rows);
+    let points = names.iter().zip(means.chunks(2)).map(|(n, m)| (n.to_string(), m[0], m[1]));
+    HintStudyResult { points: points.collect() }
 }
 
-/// One benchmark's `(coverage, accuracy)` per scheme on the evaluation
-/// half.
-pub(crate) fn hint_row(w: &Workload, source: &TraceSource) -> Vec<(f64, f64)> {
+/// One benchmark's coverage and accuracy per scheme, in turn, on the
+/// evaluation half.
+pub(crate) fn hint_row(w: &Workload, source: &TraceSource) -> Vec<f64> {
     // Two walks: the first profiles the training half; the second warms
     // all predictors on it and measures the evaluation half as the change
     // in their statistics from the split to the end.
@@ -696,134 +393,49 @@ pub(crate) fn hint_row(w: &Workload, source: &TraceSource) -> Vec<(f64, f64)> {
     end.iter()
         .zip(at_split)
         .map(|(e, s)| evaluation(e, s))
-        .map(|e| (e.coverage(), e.accuracy()))
+        .flat_map(|e| [e.coverage(), e.accuracy()])
         .collect()
 }
 
-/// Result of the fetch-mechanism comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FetchMechanismResult {
-    /// Per front-end: (name, avg baseline IPC, avg VP speedup).
-    pub points: Vec<(String, f64, f64)>,
-}
-
-impl FetchMechanismResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — high-bandwidth fetch mechanisms (2-level BTB, stride VP)",
-            &["front-end", "base IPC", "avg VP speedup"],
-        );
-        for (name, ipc, speedup) in &self.points {
-            t.row(&[name.clone(), num(*ipc), pct(*speedup)]);
-        }
-        t
-    }
-
-    /// The `(base IPC, speedup)` of one front-end.
-    pub fn point_of(&self, name: &str) -> Option<(f64, f64)> {
-        self.points.iter().find(|(n, ..)| n == name).map(|&(_, i, s)| (i, s))
-    }
-}
-
-/// Compares the §2.2 high-bandwidth fetch mechanisms head-to-head: one
-/// taken branch per cycle (present processors), the branch address cache
-/// (\[28\]), and the trace cache (\[18\]) — all with the paper's 2-level
-/// BTB and stride value prediction.
-///
-/// Per benchmark, the base/VP pairs of all front-ends advance in batched
-/// lockstep over one trace walk.
-pub fn fetch_mechanisms_with(sweep: &Sweep) -> FetchMechanismResult {
+/// The §2.2 high-bandwidth fetch mechanisms head-to-head: one taken branch
+/// per cycle (present processors), the branch address cache (\[28\]), and
+/// the trace cache (\[18\]) — all with the paper's 2-level BTB and stride
+/// value prediction.
+pub fn fetch_mechanisms() -> Grid {
+    let btb = BtbKind::two_level_paper();
     let front_ends: [(&str, FrontEnd); 4] = [
         (
             "conventional, 1 taken/cycle",
-            FrontEnd::Conventional {
-                width: 40,
-                max_taken: Some(1),
-                btb: BtbKind::two_level_paper(),
-            },
+            FrontEnd::Conventional { width: 40, max_taken: Some(1), btb },
         ),
         (
             "conventional, 4 taken/cycle",
-            FrontEnd::Conventional {
-                width: 40,
-                max_taken: Some(4),
-                btb: BtbKind::two_level_paper(),
-            },
+            FrontEnd::Conventional { width: 40, max_taken: Some(4), btb },
         ),
         (
             "branch address cache (3 blocks)",
-            FrontEnd::BranchAddressCache {
-                config: BacConfig::classic(),
-                btb: BtbKind::two_level_paper(),
-            },
+            FrontEnd::BranchAddressCache { config: BacConfig::classic(), btb },
         ),
-        (
-            "trace cache (64 x 32)",
-            FrontEnd::TraceCache {
-                config: TraceCacheConfig::paper(),
-                btb: BtbKind::two_level_paper(),
-            },
-        ),
+        ("trace cache (64 x 32)", FrontEnd::TraceCache { config: TraceCacheConfig::paper(), btb }),
     ];
-    let configs: Vec<MachineConfig> = front_ends
-        .iter()
-        .flat_map(|&(_, fe)| {
-            [VpConfig::None, VpConfig::stride_infinite()]
-                .map(|vp| MachineConfig::Realistic(RealisticConfig::paper(fe, vp)))
-        })
-        .collect();
-    let rows: Vec<(&'static str, Vec<(f64, f64)>)> = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            let cols = results
-                .chunks_exact(2)
-                .map(|pair| (pair[0].ipc(), pair[1].speedup_over(&pair[0])))
-                .collect();
-            (name, cols)
-        })
-        .collect();
-    FetchMechanismResult {
-        points: front_ends
-            .iter()
-            .enumerate()
-            .map(|(i, (name, _))| {
-                (name.to_string(), column_mean(&rows, i, |c| c.0), column_mean(&rows, i, |c| c.1))
-            })
-            .collect(),
+    Grid {
+        title: "Ablation — high-bandwidth fetch mechanisms (2-level BTB, stride VP)".into(),
+        headers: headers(&["front-end", "base IPC", "avg VP speedup"]),
+        configs: vp_pairs(&front_ends, |&(_, fe), vp| {
+            MachineConfig::Realistic(RealisticConfig::paper(fe, vp))
+        }),
+        extended: false,
+        measures: ipc_and_speedup(front_ends.len()),
+        layout: labels(front_ends.map(|(name, _)| name)),
     }
 }
 
-/// Result of the BTB-sensitivity study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BtbSensitivityResult {
-    /// Per BTB: (name, avg conditional accuracy, avg VP speedup at n=4).
-    pub points: Vec<(String, f64, f64)>,
-}
-
-impl BtbSensitivityResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — BTB sensitivity (conventional fetch, n=4, stride VP)",
-            &["branch predictor", "cond accuracy", "avg VP speedup"],
-        );
-        for (name, acc, speedup) in &self.points {
-            t.row(&[name.clone(), pct(*acc), pct(*speedup)]);
-        }
-        t
-    }
-}
-
-/// Quantifies §5's closing remark — "any small improvement in the BTB
-/// accuracy can considerably affect the performance gain of value
-/// prediction" — by sweeping branch predictors of increasing quality under
-/// the Figure 5.1/5.2 machine at n = 4.
-///
-/// Per benchmark, the base/VP pairs of all BTBs advance in batched lockstep
-/// over one trace walk.
-pub fn btb_sensitivity_with(sweep: &Sweep) -> BtbSensitivityResult {
+/// §5's closing remark — "any small improvement in the BTB accuracy can
+/// considerably affect the performance gain of value prediction" — as
+/// branch predictors of increasing quality under the Figure 5.1/5.2
+/// machine at n = 4: each VP machine's conditional-branch accuracy and
+/// speedup.
+pub fn btb_sensitivity() -> Grid {
     let btbs: [(&str, BtbKind); 4] = [
         (
             "2-level, 512-entry",
@@ -833,71 +445,24 @@ pub fn btb_sensitivity_with(sweep: &Sweep) -> BtbSensitivityResult {
         ("gshare, 12-bit history", BtbKind::Gshare(GshareConfig::default_budget())),
         ("ideal", BtbKind::Perfect),
     ];
-    let configs: Vec<MachineConfig> = btbs
-        .iter()
-        .flat_map(|&(_, btb)| {
+    Grid {
+        title: "Ablation — BTB sensitivity (conventional fetch, n=4, stride VP)".into(),
+        headers: headers(&["branch predictor", "cond accuracy", "avg VP speedup"]),
+        configs: vp_pairs(&btbs, |&(_, btb), vp| {
             let fe = FrontEnd::Conventional { width: 40, max_taken: Some(4), btb };
-            [VpConfig::None, VpConfig::stride_infinite()]
-                .map(|vp| MachineConfig::Realistic(RealisticConfig::paper(fe, vp)))
-        })
-        .collect();
-    let rows: Vec<(&'static str, Vec<(f64, f64)>)> = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            let cols = results
-                .chunks_exact(2)
-                .zip(&btbs)
-                .map(|(pair, &(_, btb))| {
-                    let bp = pair[1].bpred_stats.as_ref().expect("bpred stats");
-                    // The perfect predictor never sees conditional branches
-                    // as "cond" mispredictions; report 100% explicitly.
-                    let acc =
-                        if matches!(btb, BtbKind::Perfect) { 1.0 } else { bp.cond_accuracy() };
-                    (acc, pair[1].speedup_over(&pair[0]))
-                })
-                .collect();
-            (name, cols)
-        })
-        .collect();
-    BtbSensitivityResult {
-        points: btbs
-            .iter()
-            .enumerate()
-            .map(|(i, (name, _))| {
-                (name.to_string(), column_mean(&rows, i, |c| c.0), column_mean(&rows, i, |c| c.1))
-            })
+            MachineConfig::Realistic(RealisticConfig::paper(fe, vp))
+        }),
+        extended: false,
+        measures: (0..btbs.len())
+            .flat_map(|i| [Measure::CondAccuracy(2 * i + 1), Measure::pair_speedup(i)])
             .collect(),
+        layout: labels(btbs.map(|(name, _)| name)),
     }
 }
 
-/// Result of the partial-matching ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialMatchingResult {
-    /// Per benchmark: (name, base-policy IPC, partial-matching IPC).
-    pub rows: Vec<(String, f64, f64)>,
-}
-
-impl PartialMatchingResult {
-    /// Renders as a markdown table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation — trace-cache partial matching (2-level BTB, stride VP)",
-            &["benchmark", "full-match IPC", "partial-match IPC", "gain"],
-        );
-        for (name, full, partial) in &self.rows {
-            t.row(&[name.clone(), num(*full), num(*partial), pct(partial / full - 1.0)]);
-        }
-        t
-    }
-}
-
-/// Compares the base (full-match-or-miss) trace cache against partial
-/// matching (paper reference \[6\]).
-///
-/// Per benchmark, both policies advance in batched lockstep over one trace
-/// walk.
-pub fn partial_matching_with(sweep: &Sweep) -> PartialMatchingResult {
+/// The base (full-match-or-miss) trace cache against partial matching
+/// (paper reference \[6\]), per benchmark: each policy's IPC and the gain.
+pub fn partial_matching() -> Grid {
     let configs = [false, true].map(|partial_matching| {
         let fe = FrontEnd::TraceCache {
             config: TraceCacheConfig { partial_matching, ..TraceCacheConfig::paper() },
@@ -905,12 +470,14 @@ pub fn partial_matching_with(sweep: &Sweep) -> PartialMatchingResult {
         };
         MachineConfig::Realistic(RealisticConfig::paper(fe, VpConfig::stride_infinite()))
     });
-    let rows = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(n, ipcs)| (n.to_string(), ipcs[0].ipc(), ipcs[1].ipc()))
-        .collect();
-    PartialMatchingResult { rows }
+    Grid {
+        title: "Ablation — trace-cache partial matching (2-level BTB, stride VP)".into(),
+        headers: headers(&["benchmark", "full-match IPC", "partial-match IPC", "gain"]),
+        configs: configs.to_vec(),
+        extended: false,
+        measures: vec![Measure::Ipc(0), Measure::Ipc(1), Measure::Speedup { vp: 1, base: 0 }],
+        layout: Layout::Benchmarks { average: false },
+    }
 }
 
 #[cfg(test)]
@@ -921,51 +488,65 @@ mod tests {
         Sweep::serial(&ExperimentConfig { trace_len: 15_000, ..ExperimentConfig::default() })
     }
 
+    /// Each variant row of `grid`: its labels, space-joined, and the suite
+    /// means of its measures.
+    fn points(grid: &Grid) -> Vec<(String, Vec<f64>)> {
+        let Layout::Variants(labels) = &grid.layout else { panic!("a variant grid") };
+        let means = column_means(&grid.values(&sweep()));
+        let share = means.len() / labels.len();
+        labels.iter().zip(means.chunks(share)).map(|(l, m)| (l.join(" "), m.to_vec())).collect()
+    }
+
+    /// The means of the variant labelled `label`.
+    fn point<'a>(points: &'a [(String, Vec<f64>)], label: &str) -> &'a [f64] {
+        &points.iter().find(|(l, _)| l == label).unwrap_or_else(|| panic!("no {label}")).1
+    }
+
     #[test]
     fn bank_sweep_denials_fall_monotonically() {
-        let r = bank_sweep_with(&sweep());
-        assert_eq!(r.points.len(), BANK_SWEEP.len());
-        for w in r.points.windows(2) {
-            assert!(w[1].2 <= w[0].2 + 1e-9, "denial rate rose: {:?}", r.points);
+        let r = points(&bank_sweep());
+        assert_eq!(r.len(), BANK_SWEEP.len());
+        for w in r.windows(2) {
+            assert!(w[1].1[1] <= w[0].1[1] + 1e-9, "denial rate rose: {r:?}");
         }
         // Enough banks eliminate denials entirely.
-        assert!(r.points.last().unwrap().2 < 0.01);
+        assert!(r.last().unwrap().1[1] < 0.01);
     }
 
     #[test]
     fn window_sweep_speedup_grows_with_window() {
-        let r = window_sweep_with(&sweep());
-        let first = r.points.first().unwrap().1;
-        let last = r.points.last().unwrap().1;
-        assert!(last >= first - 0.02, "window growth hurt: {:?}", r.points);
+        let r = points(&window_sweep());
+        let first = r.first().unwrap().1[0];
+        let last = r.last().unwrap().1[0];
+        assert!(last >= first - 0.02, "window growth hurt: {r:?}");
     }
 
     #[test]
     fn confidence_sweep_trades_coverage_for_accuracy() {
-        let r = confidence_sweep_with(&sweep());
-        for w in r.points.windows(2) {
-            assert!(w[1].1 <= w[0].1 + 1e-9, "coverage must fall: {:?}", r.points);
-            assert!(w[1].2 >= w[0].2 - 0.02, "accuracy must rise: {:?}", r.points);
+        let r = points(&confidence_sweep());
+        for w in r.windows(2) {
+            assert!(w[1].1[0] <= w[0].1[0] + 1e-9, "coverage must fall: {r:?}");
+            assert!(w[1].1[1] >= w[0].1[1] - 0.02, "accuracy must rise: {r:?}");
         }
     }
 
     #[test]
     fn stride_beats_last_value_on_this_suite() {
-        let r = predictor_comparison_with(&sweep());
-        let stride = r.speedup_of("stride").unwrap();
-        let last = r.speedup_of("last-value").unwrap();
+        let r = points(&predictor_comparison());
+        let stride = point(&r, "stride")[2];
+        let last = point(&r, "last-value")[2];
         assert!(
             stride > last,
             "stride {stride:.2} should beat last-value {last:.2} on strided workloads"
         );
-        assert_eq!(r.points.len(), 5);
+        assert_eq!(r.len(), 5);
     }
 
     #[test]
     fn partial_matching_does_not_hurt() {
-        let r = partial_matching_with(&sweep());
-        for (name, full, partial) in &r.rows {
-            assert!(partial >= &(full * 0.97), "{name}: partial matching lost >3%");
+        for (name, ipc) in partial_matching().values(&sweep()) {
+            let (full, partial) = (ipc[0], ipc[1]);
+            assert!(partial >= full * 0.97, "{name}: partial matching lost >3%");
         }
     }
 
@@ -982,31 +563,44 @@ mod tests {
     }
 
     #[test]
+    fn five_distinct_seeds_run_whichever_the_caller_passes() {
+        let default = ExperimentConfig::default().workloads.seed;
+        assert_eq!(stability_seeds(default), [default, 1, 42, 0xDEAD_BEEF, 0x1998]);
+        for caller in [1, 42, 0xDEAD_BEEF, 0x1998, 0x5EED, 7] {
+            let seeds = stability_seeds(caller);
+            assert_eq!(seeds[0], caller);
+            let mut distinct = seeds.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), 5, "caller {caller:#x}: {seeds:x?}");
+        }
+    }
+
+    #[test]
     fn relaxed_assumptions_only_reduce_ipc() {
-        let r = model_assumptions_with(&sweep());
-        let base = r.points[0].1;
-        for (name, ipc, _) in &r.points[1..] {
-            assert!(*ipc <= base + 1e-9, "{name}: IPC {ipc:.2} above the ideal {base:.2}");
+        let r = points(&model_assumptions());
+        let base = r[0].1[0];
+        for (name, p) in &r[1..] {
+            let ipc = p[0];
+            assert!(ipc <= base + 1e-9, "{name}: IPC {ipc:.2} above the ideal {base:.2}");
         }
     }
 
     #[test]
     fn harsher_penalties_reduce_the_gain() {
-        let r = penalty_sweep_with(&sweep());
-        let find = |bp, vp| {
-            r.points.iter().find(|&&(b, v, _)| (b, v) == (bp, vp)).map(|&(_, _, s)| s).unwrap()
-        };
+        let r = points(&penalty_sweep());
+        let find = |bp: u64, vp: u64| point(&r, &format!("{bp} {vp}"))[0];
         // A 3-cycle value penalty cannot beat a free one.
-        assert!(find(3, 3) <= find(3, 0) + 0.03, "{:?}", r.points);
-        assert_eq!(r.points.len(), 5);
+        assert!(find(3, 3) <= find(3, 0) + 0.03, "{r:?}");
+        assert_eq!(r.len(), 5);
     }
 
     #[test]
     fn bigger_trace_caches_do_not_hurt() {
-        let r = tc_geometry_with(&sweep());
-        let small = r.points[0].2;
-        let big = r.points.last().unwrap().2;
-        assert!(big >= small - 0.05, "bigger cache lost IPC: {:?}", r.points);
+        let r = points(&tc_geometry());
+        let small = r[0].1[0];
+        let big = r.last().unwrap().1[0];
+        assert!(big >= small - 0.05, "bigger cache lost IPC: {r:?}");
     }
 
     #[test]
@@ -1022,29 +616,29 @@ mod tests {
 
     #[test]
     fn high_bandwidth_mechanisms_beat_single_taken_branch_fetch() {
-        let r = fetch_mechanisms_with(&sweep());
-        let (one_ipc, _) = r.point_of("conventional, 1 taken/cycle").unwrap();
-        let (bac_ipc, _) = r.point_of("branch address cache (3 blocks)").unwrap();
-        let (tc_ipc, _) = r.point_of("trace cache (64 x 32)").unwrap();
+        let r = points(&fetch_mechanisms());
+        let one_ipc = point(&r, "conventional, 1 taken/cycle")[0];
+        let bac_ipc = point(&r, "branch address cache (3 blocks)")[0];
+        let tc_ipc = point(&r, "trace cache (64 x 32)")[0];
         assert!(bac_ipc >= one_ipc * 0.95, "BAC {bac_ipc:.2} vs 1-taken {one_ipc:.2}");
         assert!(tc_ipc > one_ipc, "TC {tc_ipc:.2} vs 1-taken {one_ipc:.2}");
     }
 
     #[test]
     fn btb_quality_scales_vp_gain() {
-        let r = btb_sensitivity_with(&sweep());
-        assert_eq!(r.points.len(), 4);
-        let small = r.points[0].2;
-        let ideal = r.points[3].2;
+        let r = points(&btb_sensitivity());
+        assert_eq!(r.len(), 4);
+        let small = r[0].1[1];
+        let ideal = r[3].1[1];
         assert!(ideal >= small - 0.02, "ideal BTB {ideal:.2} vs small {small:.2}");
         // Accuracy orders with predictor quality.
-        assert!(r.points[3].1 >= r.points[0].1);
+        assert!(r[3].1[0] >= r[0].1[0]);
     }
 
     #[test]
     fn tables_render() {
         let s = sweep();
-        assert!(bank_sweep_with(&s).to_table().to_string().contains("banks"));
-        assert!(window_sweep_with(&s).to_table().num_rows() == WINDOW_SWEEP.len());
+        assert!(bank_sweep().run(&s).to_string().contains("banks"));
+        assert!(window_sweep().run(&s).num_rows() == WINDOW_SWEEP.len());
     }
 }

@@ -6,15 +6,33 @@
 //! vortex as dramatic outliers (4% → 112% and 1.5% → 83% between fetch-4
 //! and fetch-16).
 
-use fetchvp_core::{IdealConfig, MachineConfig, VpConfig};
+use fetchvp_core::{IdealConfig, MachineConfig};
 
 use crate::chart::BarChart;
-use crate::mean;
-use crate::report::{pct, Table};
+use crate::grid::{column_means, vp_pairs, Grid, Layout, Measure};
+use crate::report::Table;
 use crate::sweep::Sweep;
 
 /// The fetch rates the paper sweeps.
 pub const FETCH_RATES: [usize; 5] = [4, 8, 16, 32, 40];
+
+/// The figure as a grid: per benchmark, the base/VP machine pair at each
+/// fetch rate, one speedup per rate.
+pub fn grid() -> Grid {
+    Grid {
+        title: "Figure 3.1 — value-prediction speedup vs instruction-fetch rate (ideal machine)"
+            .into(),
+        headers: std::iter::once("benchmark".to_string())
+            .chain(FETCH_RATES.iter().map(|r| format!("BW={r}")))
+            .collect(),
+        configs: vp_pairs(&FETCH_RATES, |&fetch_rate, vp| {
+            MachineConfig::Ideal(IdealConfig { fetch_rate, vp, ..IdealConfig::default() })
+        }),
+        extended: false,
+        measures: (0..FETCH_RATES.len()).map(Measure::pair_speedup).collect(),
+        layout: Layout::Benchmarks { average: true },
+    }
+}
 
 /// Per-benchmark speedups at each fetch rate.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,9 +44,7 @@ pub struct Fig31Result {
 impl Fig31Result {
     /// The per-rate averages (the paper's "avg" bars).
     pub fn averages(&self) -> Vec<f64> {
-        (0..FETCH_RATES.len())
-            .map(|i| mean(&self.rows.iter().map(|(_, s)| s[i]).collect::<Vec<_>>()))
-            .collect()
+        column_means(&self.rows)
     }
 
     /// The speedups of one benchmark.
@@ -38,36 +54,13 @@ impl Fig31Result {
 
     /// Renders the figure as a terminal bar chart.
     pub fn to_chart(&self) -> BarChart {
-        let mut c =
-            BarChart::new("Figure 3.1 — value-prediction speedup vs instruction-fetch rate", 40);
-        for (name, speedups) in &self.rows {
-            let bars: Vec<(String, f64)> =
-                FETCH_RATES.iter().zip(speedups).map(|(r, s)| (format!("BW={r}"), *s)).collect();
-            let refs: Vec<(&str, f64)> = bars.iter().map(|(l, v)| (l.as_str(), *v)).collect();
-            c.row(name.clone(), &refs);
-        }
-        c
+        let title = "Figure 3.1 — value-prediction speedup vs instruction-fetch rate";
+        Grid { title: title.into(), ..grid() }.chart(&self.rows)
     }
 
     /// Renders the figure as a markdown table.
     pub fn to_table(&self) -> Table {
-        let headers: Vec<String> = std::iter::once("benchmark".to_string())
-            .chain(FETCH_RATES.iter().map(|r| format!("BW={r}")))
-            .collect();
-        let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
-        let mut t = Table::new(
-            "Figure 3.1 — value-prediction speedup vs instruction-fetch rate (ideal machine)",
-            &headers_ref,
-        );
-        for (name, speedups) in &self.rows {
-            let mut cells = vec![name.clone()];
-            cells.extend(speedups.iter().map(|&s| pct(s)));
-            t.row(&cells);
-        }
-        let mut avg = vec!["avg".to_string()];
-        avg.extend(self.averages().iter().map(|&s| pct(s)));
-        t.row(&avg);
-        t
+        grid().table(&self.rows)
     }
 }
 
@@ -75,24 +68,7 @@ impl Fig31Result {
 /// (base + VP at each fetch rate) advance in batched lockstep over one
 /// trace walk.
 pub fn run_with(sweep: &Sweep) -> Fig31Result {
-    let configs: Vec<MachineConfig> = FETCH_RATES
-        .iter()
-        .flat_map(|&rate| {
-            [VpConfig::None, VpConfig::stride_infinite()].map(|vp| {
-                MachineConfig::Ideal(IdealConfig { fetch_rate: rate, vp, ..IdealConfig::default() })
-            })
-        })
-        .collect();
-    let rows = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            let speedups =
-                results.chunks_exact(2).map(|pair| pair[1].speedup_over(&pair[0])).collect();
-            (name.to_string(), speedups)
-        })
-        .collect();
-    Fig31Result { rows }
+    Fig31Result { rows: grid().values(sweep) }
 }
 
 #[cfg(test)]

@@ -5,11 +5,11 @@
 //! Paper shape: ≈3% average speedup at 1 taken branch/cycle, rising to
 //! ≈50% at 4 and beyond.
 
-use fetchvp_core::{BtbKind, FrontEnd, MachineConfig, RealisticConfig, VpConfig};
+use fetchvp_core::{BtbKind, FrontEnd, MachineConfig, RealisticConfig};
 
 use crate::chart::BarChart;
-use crate::mean;
-use crate::report::{pct, Table};
+use crate::grid::{column_means, vp_pairs, Grid, Layout, Measure};
+use crate::report::Table;
 use crate::sweep::Sweep;
 
 /// The taken-branch allowances the paper sweeps (`None` = unlimited; the
@@ -27,6 +27,31 @@ pub fn sweep_labels() -> Vec<String> {
         .collect()
 }
 
+/// The taken-branch sweep with the given BTB as a grid (shared by Figures
+/// 5.1 and 5.2): per benchmark, the base/VP machine pair of each
+/// allowance, one speedup per allowance.
+pub(crate) fn taken_grid(btb: BtbKind, title: &str) -> Grid {
+    Grid {
+        title: title.to_string(),
+        headers: std::iter::once("benchmark".to_string()).chain(sweep_labels()).collect(),
+        configs: vp_pairs(&TAKEN_SWEEP, |&max_taken, vp| {
+            let fe = FrontEnd::Conventional { width: 40, max_taken, btb };
+            MachineConfig::Realistic(RealisticConfig::paper(fe, vp))
+        }),
+        extended: false,
+        measures: (0..TAKEN_SWEEP.len()).map(Measure::pair_speedup).collect(),
+        layout: Layout::Benchmarks { average: true },
+    }
+}
+
+/// Figure 5.1 as a grid.
+pub fn grid() -> Grid {
+    taken_grid(
+        BtbKind::Perfect,
+        "Figure 5.1 — value-prediction speedup vs taken branches/cycle (ideal BTB)",
+    )
+}
+
 /// Per-benchmark speedups for one BTB choice across [`TAKEN_SWEEP`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TakenSweepResult {
@@ -39,9 +64,7 @@ pub struct TakenSweepResult {
 impl TakenSweepResult {
     /// The per-allowance averages.
     pub fn averages(&self) -> Vec<f64> {
-        (0..TAKEN_SWEEP.len())
-            .map(|i| mean(&self.rows.iter().map(|(_, s)| s[i]).collect::<Vec<_>>()))
-            .collect()
+        column_means(&self.rows)
     }
 
     /// The speedups of one benchmark.
@@ -49,67 +72,29 @@ impl TakenSweepResult {
         self.rows.iter().find(|(n, _)| n == name).map(|(_, s)| s.as_slice())
     }
 
+    /// The grid this result renders through: either figure's columns, under
+    /// this result's title.
+    fn grid(&self) -> Grid {
+        Grid { title: self.title.clone(), ..grid() }
+    }
+
     /// Renders as a terminal bar chart.
     pub fn to_chart(&self) -> BarChart {
-        let mut c = BarChart::new(self.title.clone(), 40);
-        let labels = sweep_labels();
-        for (name, speedups) in &self.rows {
-            let bars: Vec<(&str, f64)> =
-                labels.iter().map(String::as_str).zip(speedups.iter().copied()).collect();
-            c.row(name.clone(), &bars);
-        }
-        c
+        self.grid().chart(&self.rows)
     }
 
     /// Renders as a markdown table.
     pub fn to_table(&self) -> Table {
-        let headers: Vec<String> =
-            std::iter::once("benchmark".to_string()).chain(sweep_labels()).collect();
-        let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
-        let mut t = Table::new(self.title.clone(), &headers_ref);
-        for (name, speedups) in &self.rows {
-            let mut cells = vec![name.clone()];
-            cells.extend(speedups.iter().map(|&s| pct(s)));
-            t.row(&cells);
-        }
-        let mut avg = vec!["avg".to_string()];
-        avg.extend(self.averages().iter().map(|&s| pct(s)));
-        t.row(&avg);
-        t
+        self.grid().table(&self.rows)
     }
 }
 
-/// Runs the taken-branch sweep with the given BTB (shared by Figures 5.1
-/// and 5.2): per benchmark, the base/VP machine pairs of all five
-/// allowances advance in batched lockstep over one trace walk.
-pub(crate) fn taken_sweep(sweep: &Sweep, btb: BtbKind, title: &str) -> TakenSweepResult {
-    let configs: Vec<MachineConfig> = TAKEN_SWEEP
-        .iter()
-        .flat_map(|&max_taken| {
-            let fe = FrontEnd::Conventional { width: 40, max_taken, btb };
-            [VpConfig::None, VpConfig::stride_infinite()]
-                .map(|vp| MachineConfig::Realistic(RealisticConfig::paper(fe, vp)))
-        })
-        .collect();
-    let rows = sweep
-        .machines(&configs)
-        .into_iter()
-        .map(|(name, results)| {
-            let speedups =
-                results.chunks_exact(2).map(|pair| pair[1].speedup_over(&pair[0])).collect();
-            (name.to_string(), speedups)
-        })
-        .collect();
-    TakenSweepResult { title: title.to_string(), rows }
-}
-
-/// Runs the experiment on a [`Sweep`].
+/// Runs the experiment on a [`Sweep`]: per benchmark, the base/VP machine
+/// pairs of all five allowances advance in batched lockstep over one trace
+/// walk.
 pub fn run_with(sweep: &Sweep) -> TakenSweepResult {
-    taken_sweep(
-        sweep,
-        BtbKind::Perfect,
-        "Figure 5.1 — value-prediction speedup vs taken branches/cycle (ideal BTB)",
-    )
+    let grid = grid();
+    TakenSweepResult { rows: grid.values(sweep), title: grid.title }
 }
 
 #[cfg(test)]

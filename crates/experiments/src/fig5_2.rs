@@ -8,16 +8,22 @@
 
 use fetchvp_core::BtbKind;
 
-use crate::fig5_1::{taken_sweep, TakenSweepResult};
+use crate::fig5_1::{taken_grid, TakenSweepResult};
+use crate::grid::Grid;
 use crate::sweep::Sweep;
 
-/// Runs the experiment on a [`Sweep`].
-pub fn run_with(sweep: &Sweep) -> TakenSweepResult {
-    taken_sweep(
-        sweep,
+/// Figure 5.2 as a grid.
+pub fn grid() -> Grid {
+    taken_grid(
         BtbKind::two_level_paper(),
         "Figure 5.2 — value-prediction speedup vs taken branches/cycle (2-level BTB)",
     )
+}
+
+/// Runs the experiment on a [`Sweep`].
+pub fn run_with(sweep: &Sweep) -> TakenSweepResult {
+    let grid = grid();
+    TakenSweepResult { rows: grid.values(sweep), title: grid.title }
 }
 
 #[cfg(test)]

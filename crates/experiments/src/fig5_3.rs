@@ -15,13 +15,40 @@ use fetchvp_fetch::TraceCacheConfig;
 use fetchvp_predictor::BankedConfig;
 
 use crate::chart::BarChart;
-use crate::mean;
-use crate::report::{pct, Table};
+use crate::grid::{column_means, Grid, Layout, Measure};
+use crate::report::Table;
 use crate::sweep::Sweep;
 
 /// Number of prediction-table banks in the §4 front-end ("highly
 /// interleaved").
 pub const BANKS: u32 = 16;
+
+/// The figure as a grid: per benchmark, the base/VP machine pair of each
+/// BTB, one speedup per BTB. Matching the paper's figure, whose x-axis
+/// includes the SPECfp benchmark `mgrid`, it runs the extended suite.
+pub fn grid() -> Grid {
+    let pair = |btb| {
+        let fe = FrontEnd::TraceCache { config: TraceCacheConfig::paper(), btb };
+        [
+            MachineConfig::Realistic(RealisticConfig::paper(fe, VpConfig::None)),
+            MachineConfig::Realistic(
+                RealisticConfig::paper(fe, VpConfig::stride_infinite())
+                    .with_banked(BankedConfig::new(BANKS)),
+            ),
+        ]
+    };
+    Grid {
+        title: "Figure 5.3 — value-prediction speedup with a trace cache".into(),
+        headers: ["benchmark", "TC+2levelBTB", "TC+idealBTB"].map(String::from).to_vec(),
+        configs: [BtbKind::two_level_paper(), BtbKind::Perfect]
+            .into_iter()
+            .flat_map(pair)
+            .collect(),
+        extended: true,
+        measures: vec![Measure::pair_speedup(0), Measure::pair_speedup(1)],
+        layout: Layout::Benchmarks { average: true },
+    }
+}
 
 /// Per-benchmark speedups for the two BTB configurations.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,10 +61,8 @@ pub struct Fig53Result {
 impl Fig53Result {
     /// Averages `(TC+2levelBTB, TC+idealBTB)`.
     pub fn averages(&self) -> (f64, f64) {
-        (
-            mean(&self.rows.iter().map(|(_, a, _)| *a).collect::<Vec<_>>()),
-            mean(&self.rows.iter().map(|(_, _, b)| *b).collect::<Vec<_>>()),
-        )
+        let means = column_means(&self.values());
+        (means[0], means[1])
     }
 
     /// The `(TC+2levelBTB, TC+idealBTB)` speedups of one benchmark.
@@ -45,55 +70,26 @@ impl Fig53Result {
         self.rows.iter().find(|(n, _, _)| n == name).map(|(_, a, b)| (*a, *b))
     }
 
+    /// The rows as the grid's values.
+    fn values(&self) -> Vec<(String, Vec<f64>)> {
+        self.rows.iter().map(|(n, a, b)| (n.clone(), vec![*a, *b])).collect()
+    }
+
     /// Renders as a terminal bar chart.
     pub fn to_chart(&self) -> BarChart {
-        let mut c = BarChart::new("Figure 5.3 — value-prediction speedup with a trace cache", 40);
-        for (name, two_level, ideal) in &self.rows {
-            c.row(name.clone(), &[("TC+2levelBTB", *two_level), ("TC+idealBTB", *ideal)]);
-        }
-        c
+        grid().chart(&self.values())
     }
 
     /// Renders as a markdown table.
     pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Figure 5.3 — value-prediction speedup with a trace cache",
-            &["benchmark", "TC+2levelBTB", "TC+idealBTB"],
-        );
-        for (name, two_level, ideal) in &self.rows {
-            t.row(&[name.clone(), pct(*two_level), pct(*ideal)]);
-        }
-        let (a2, ai) = self.averages();
-        t.row(&["avg".into(), pct(a2), pct(ai)]);
-        t
+        grid().table(&self.values())
     }
 }
 
-/// The base/VP machine pair for one BTB choice.
-fn config_pair(btb: BtbKind) -> [MachineConfig; 2] {
-    let fe = FrontEnd::TraceCache { config: TraceCacheConfig::paper(), btb };
-    [
-        MachineConfig::Realistic(RealisticConfig::paper(fe, VpConfig::None)),
-        MachineConfig::Realistic(
-            RealisticConfig::paper(fe, VpConfig::stride_infinite())
-                .with_banked(BankedConfig::new(BANKS)),
-        ),
-    ]
-}
-
-/// Runs the experiment on a [`Sweep`], one job per (benchmark, BTB) cell.
-///
-/// Matching the paper's figure, whose x-axis includes the SPECfp benchmark
-/// `mgrid` alongside the integer suite, this runner uses the extended
-/// suite (the only consumer of the trace cache's ninth slot).
+/// Runs the experiment on a [`Sweep`]: per benchmark, both BTBs' base/VP
+/// pairs advance in batched lockstep over one trace walk.
 pub fn run_with(sweep: &Sweep) -> Fig53Result {
-    let configs: Vec<MachineConfig> =
-        [BtbKind::two_level_paper(), BtbKind::Perfect].into_iter().flat_map(config_pair).collect();
-    let rows = sweep
-        .machines_extended(&configs)
-        .into_iter()
-        .map(|(n, r)| (n.to_string(), r[1].speedup_over(&r[0]), r[3].speedup_over(&r[2])))
-        .collect();
+    let rows = grid().values(sweep).into_iter().map(|(n, v)| (n, v[0], v[1])).collect();
     Fig53Result { rows }
 }
 

@@ -13,14 +13,22 @@
 //! | [`fig5_1`] | Figure 5.1 — VP speedup, perfect BTB, ≤ n taken branches/cycle |
 //! | [`fig5_2`] | Figure 5.2 — VP speedup, 2-level PAp BTB |
 //! | [`fig5_3`] | Figure 5.3 — VP speedup with a trace cache |
+//! | [`grid`] | the shape Figures 3.1 and 5.1–5.3 share with ten ablations |
+//!
+//! Those four figures and ten of the ablations are one [`grid::Grid`]
+//! each — benchmarks × machine configurations as data, one renderer for
+//! their tables and charts.
 //!
 //! The [`accuracy`] module tabulates per-benchmark predictor
 //! coverage/accuracy (the style of the paper's technical-report
-//! references \[7\]/\[8\]), and the [`ablations`] module adds
-//! design-space sweeps beyond the paper
-//! (prediction-table banks, window size, classification threshold,
-//! predictor kind, trace-cache partial matching). The [`mod@bench`] module is
-//! the perf-regression suite. The [`usefulness`] module measures the §3.3
+//! references \[7\]/\[8\]), and the [`ablations`] module adds twelve
+//! design-space studies beyond the paper (prediction-table banks, window
+//! size, classification threshold, predictor kind, trace-cache partial
+//! matching, BTB quality, fetch mechanisms, misprediction penalties,
+//! trace-cache geometry, profiling hints, model assumptions and workload
+//! seeds). The [`mod@bench`] module reports every workload's deterministic
+//! counters, a pure function of trace length and seed that reads no clock.
+//! The [`usefulness`] module measures the §3.3
 //! mechanism directly — which correct predictions actually shorten the
 //! critical path at fetch-4 vs fetch-40 — and the [`traceviz`] module
 //! exports a cycle-accurate pipeline witness as Chrome trace-event JSON for
@@ -65,6 +73,7 @@ pub mod fig5_1;
 pub mod fig5_2;
 pub mod fig5_3;
 pub mod fuzz;
+pub mod grid;
 pub mod jobspec;
 pub mod registry;
 pub mod report;

@@ -112,27 +112,18 @@ pub static ENTRIES: &[Experiment] = &[
         .serve()
         .whole_traces(),
     Experiment::new("usefulness", Extra, |s| usefulness::run_with(s).to_table()).serve(),
-    Experiment::new("ablation-banks", Ablation, |s| ablations::bank_sweep_with(s).to_table()),
-    Experiment::new("ablation-window", Ablation, |s| ablations::window_sweep_with(s).to_table()),
-    Experiment::new("ablation-confidence", Ablation, |s| {
-        ablations::confidence_sweep_with(s).to_table()
-    }),
-    Experiment::new("ablation-predictors", Ablation, |s| {
-        ablations::predictor_comparison_with(s).to_table()
-    })
-    .serve(),
-    Experiment::new("ablation-partial", Ablation, |s| {
-        ablations::partial_matching_with(s).to_table()
-    }),
-    Experiment::new("ablation-btb", Ablation, |s| ablations::btb_sensitivity_with(s).to_table()),
-    Experiment::new("ablation-fetch", Ablation, |s| ablations::fetch_mechanisms_with(s).to_table())
+    Experiment::new("ablation-banks", Ablation, |s| ablations::bank_sweep().run(s)),
+    Experiment::new("ablation-window", Ablation, |s| ablations::window_sweep().run(s)),
+    Experiment::new("ablation-confidence", Ablation, |s| ablations::confidence_sweep().run(s)),
+    Experiment::new("ablation-predictors", Ablation, |s| ablations::predictor_comparison().run(s))
         .serve(),
-    Experiment::new("ablation-penalty", Ablation, |s| ablations::penalty_sweep_with(s).to_table()),
-    Experiment::new("ablation-tc", Ablation, |s| ablations::tc_geometry_with(s).to_table()),
+    Experiment::new("ablation-partial", Ablation, |s| ablations::partial_matching().run(s)),
+    Experiment::new("ablation-btb", Ablation, |s| ablations::btb_sensitivity().run(s)),
+    Experiment::new("ablation-fetch", Ablation, |s| ablations::fetch_mechanisms().run(s)).serve(),
+    Experiment::new("ablation-penalty", Ablation, |s| ablations::penalty_sweep().run(s)),
+    Experiment::new("ablation-tc", Ablation, |s| ablations::tc_geometry().run(s)),
     Experiment::new("ablation-hints", Ablation, |s| ablations::hint_study_with(s).to_table()),
-    Experiment::new("ablation-model", Ablation, |s| {
-        ablations::model_assumptions_with(s).to_table()
-    }),
+    Experiment::new("ablation-model", Ablation, |s| ablations::model_assumptions().run(s)),
     Experiment::new("ablation-seeds", Ablation, |s| ablations::seed_stability_with(s).to_table()),
 ];
 

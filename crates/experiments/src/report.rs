@@ -54,15 +54,19 @@ impl Table {
         self.rows.len()
     }
 
-    /// Renders as CSV (headers first, no title line).
+    /// Renders as CSV (headers first, no title line). A cell holding a
+    /// comma, quote or line break is quoted, its quotes doubled (RFC 4180
+    /// §2); every other cell is written bare.
     pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
+        let field = |cell: &String| {
+            if cell.contains([',', '"', '\r', '\n']) {
+                format!("\"{}\"", cell.replace('"', "\"\""))
+            } else {
+                cell.clone()
+            }
+        };
+        let line = |cells: &Vec<String>| cells.iter().map(field).collect::<Vec<_>>().join(",");
+        std::iter::once(&self.headers).chain(&self.rows).map(|r| line(r) + "\n").collect()
     }
 }
 
@@ -115,6 +119,13 @@ mod tests {
         let mut t = Table::new("T", &["x", "y"]);
         t.row(&["3".into(), "4".into()]);
         assert_eq!(t.to_csv(), "x,y\n3,4\n");
+    }
+
+    #[test]
+    fn csv_quotes_cells_with_commas_quotes_and_line_breaks() {
+        let mut t = Table::new("T", &["name", "n"]);
+        t.row(&["1, 2".into(), "3".into()]).row(&["say \"hi\"".into(), "a\nb".into()]);
+        assert_eq!(t.to_csv(), "name,n\n\"1, 2\",3\n\"say \"\"hi\"\"\",\"a\nb\"\n");
     }
 
     #[test]

@@ -23,9 +23,11 @@ use std::sync::{Mutex, PoisonError};
 use fetchvp_metrics::Json;
 
 /// Version prefix of the spill directory. Bumping it orphans every older
-/// on-disk entry instead of misreading it — the same invalidation story
-/// as the trace store's format version.
-pub const RESULT_CACHE_VERSION: u32 = 1;
+/// on-disk entry instead of misreading or re-serving it — the same
+/// invalidation story as the trace store's format version. Spills are keyed
+/// by the spec alone, so bump it whenever a build changes the bytes of a
+/// served output.
+pub const RESULT_CACHE_VERSION: u32 = 2;
 
 /// One cached result: the spec's hash, its full canonical text (kept to
 /// detect 64-bit hash collisions instead of serving a wrong document),
@@ -55,7 +57,7 @@ pub struct ResultCacheCounters {
 /// The in-memory tier is a small vector kept in most-recently-used order
 /// (the same idiom as the server's sweep pool); inserts beyond
 /// `capacity` evict from the tail. When built with a spill root, every
-/// insert also writes `<root>/results-v1/<hash>.json` via a temp file and
+/// insert also writes `<root>/results-v2/<hash>.json` via a temp file and
 /// atomic rename, and memory misses fall back to reading that file.
 #[derive(Debug)]
 pub struct ResultCache {
@@ -70,7 +72,7 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// A cache holding at most `capacity` results in memory, spilling to
-    /// `<spill_root>/results-v1/` when a root is given. `capacity` 0
+    /// `<spill_root>/results-v2/` when a root is given. `capacity` 0
     /// disables caching entirely (every lookup misses, nothing is
     /// stored).
     pub fn new(capacity: usize, spill_root: Option<&Path>) -> ResultCache {

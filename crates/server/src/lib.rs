@@ -100,7 +100,7 @@ pub struct ServerConfig {
     pub trace_dir: Option<PathBuf>,
     /// In-memory result-cache capacity (finished result documents); 0
     /// disables result caching. When [`ServerConfig::trace_dir`] is also
-    /// set, results spill to `<trace_dir>/results-v1/` and survive
+    /// set, results spill to `<trace_dir>/results-v2/` and survive
     /// restarts.
     pub result_cache_entries: usize,
     /// Full fleet member list (`host:port`, including this process's own

@@ -3,11 +3,13 @@
 //! Every [`registry`] experiment, the four `--chart` figures and the
 //! `bench` report are checked, at two seeds and 20,000 instructions,
 //! against one committed digest file, `tests/golden.json`. Its digests are
-//! FNV-1a over the exact bytes `fetchvp-cli <name> --csv` (or `--chart`)
-//! prints; `bench` pins its whole report (what `fetchvp-cli bench` prints,
-//! less the final newline) and each workload's `counters` and `gauges`
-//! sections. Each row is computed along every execution path that must not
-//! change it — the axes:
+//! FNV-1a over the exact bytes `fetchvp-cli <name> --csv` (`csv`),
+//! `fetchvp-cli <name>` (`md`: the markdown table with its title) or
+//! `fetchvp-cli <name> --chart` (`chart`) prints; `bench` pins its whole
+//! report (what `fetchvp-cli bench` prints, less the final newline) and
+//! each workload's `counters` and `gauges` sections. Each row is computed
+//! along every execution path that must not change it — the axes (the
+//! served ones compare `csv` only, the one table a served result carries):
 //!
 //! * `serial`: in process, `--jobs 1`, resident traces, no observer, one
 //!   sweep shared by every entry (the CLI's path);
@@ -36,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fetchvp_experiments::registry;
-use fetchvp_experiments::{bench, ExperimentConfig, JobSpec, Sweep, SweepProgress};
+use fetchvp_experiments::{bench, ExperimentConfig, JobSpec, Sweep, SweepProgress, Table};
 use fetchvp_metrics::Json;
 use fetchvp_server::ServerConfig;
 use fetchvp_tracestore::{fnv1a, write_store, TraceSource, TraceStore};
@@ -89,6 +91,31 @@ fn render_golden(table: &BTreeMap<u64, Digests>) -> String {
     doc.to_json() + "\n"
 }
 
+/// `csv` itself if every record parses (RFC 4180) into as many fields as
+/// its header, else why not.
+fn rectangular(csv: String) -> Result<String, String> {
+    let mut widths = Vec::new();
+    let (mut fields, mut quoted, mut chars) = (1, false, csv.chars().peekable());
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if quoted && chars.peek() == Some(&'"') => {
+                chars.next();
+            }
+            '"' => quoted = !quoted,
+            ',' if !quoted => fields += 1,
+            '\n' if !quoted => widths.push(std::mem::replace(&mut fields, 1)),
+            _ => {}
+        }
+    }
+    let header = widths.first().copied().unwrap_or(0);
+    match widths.iter().position(|&w| w != header) {
+        Some(i) => {
+            Err(format!("ragged CSV: record {i} has {} fields, its header {header}", widths[i]))
+        }
+        None => Ok(csv),
+    }
+}
+
 /// Runs `f`, turning a panic into its message.
 fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|panic| {
@@ -123,7 +150,12 @@ fn bench_digests(report: &Json, digests: &mut Digests) {
 fn in_process(sweep: &Sweep, stored: bool) -> Digests {
     let mut digests = Digests::new();
     for entry in registry::ENTRIES.iter().filter(|e| !(stored && e.resident)) {
-        put(&mut digests, entry.name, "csv", catching(|| entry.render(sweep, false, true)));
+        // One table per entry: its CSV and markdown are two renderings of
+        // the same run.
+        let table = catching(|| (entry.run)(sweep));
+        let csv = table.as_ref().map(Table::to_csv).map_err(String::clone).and_then(rectangular);
+        put(&mut digests, entry.name, "csv", csv);
+        put(&mut digests, entry.name, "md", table.map(|table| format!("{table}\n")));
         if entry.chart.is_some() {
             put(&mut digests, entry.name, "chart", catching(|| entry.render(sweep, true, false)));
         }
@@ -152,7 +184,7 @@ fn result_digests(name: &str, result: Result<&Json, String>, digests: &mut Diges
         Err(why) if name == "bench" => put(digests, name, "report", Err(why)),
         Ok(result) => {
             let csv = result.get("csv").and_then(Json::as_str).expect("served csv");
-            put(digests, name, "csv", Ok(csv.to_string()));
+            put(digests, name, "csv", rectangular(csv.to_string()));
         }
         Err(why) => put(digests, name, "csv", Err(why)),
     }
