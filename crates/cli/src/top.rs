@@ -25,26 +25,6 @@ use fetchvp_server::peers::{self, Call};
 /// refreshes.
 const CLEAR: &str = "\x1b[2J\x1b[H";
 
-/// How one `fetchvp top` invocation behaves.
-pub struct TopOptions {
-    /// The member to scrape (any member answers for the whole fleet).
-    pub addr: String,
-    /// Delay between refreshes.
-    pub interval: Duration,
-    /// Refresh count; `None` runs until interrupted.
-    pub count: Option<u64>,
-}
-
-impl Default for TopOptions {
-    fn default() -> TopOptions {
-        TopOptions {
-            addr: "127.0.0.1:7998".to_string(),
-            interval: Duration::from_secs(2),
-            count: None,
-        }
-    }
-}
-
 /// A scrape's timeouts: generous, since the target fans out to every
 /// member before it answers.
 const SCRAPE: Call =
@@ -204,32 +184,34 @@ pub fn render(doc: &Json) -> String {
     out
 }
 
-/// The fetch/render/sleep loop behind the `top` subcommand.
+/// The fetch/render/sleep loop behind the `top` subcommand: scrapes
+/// `addr` (any member answers for the whole fleet) every `interval`,
+/// `count` times or, if `None`, until interrupted.
 ///
 /// # Errors
 ///
 /// Errors when the very first scrape fails (a bad address should fail
 /// fast); later scrape failures draw an error frame and keep going, the
 /// way an operator expects a dashboard to ride out a restart.
-pub fn run(opts: &TopOptions) -> Result<(), String> {
+pub fn run(addr: &str, interval: Duration, count: Option<u64>) -> Result<(), String> {
     let mut frame = 0u64;
     loop {
-        match fetch(&opts.addr) {
+        match fetch(addr) {
             Ok(doc) => {
                 print!("{CLEAR}{}", render(&doc));
                 let _ = std::io::stdout().flush();
             }
             Err(e) if frame == 0 => return Err(e),
             Err(e) => {
-                println!("{CLEAR}fetchvp top — scrape of {} failed: {e}", opts.addr);
+                println!("{CLEAR}fetchvp top — scrape of {addr} failed: {e}");
                 let _ = std::io::stdout().flush();
             }
         }
         frame += 1;
-        if opts.count.is_some_and(|count| frame >= count) {
+        if count.is_some_and(|count| frame >= count) {
             return Ok(());
         }
-        std::thread::sleep(opts.interval);
+        std::thread::sleep(interval);
     }
 }
 

@@ -14,13 +14,6 @@ use fetchvp_core::{BtbKind, CycleBreakdown, FrontEnd, RealisticConfig, VpConfig}
 use crate::report::{pct, Table};
 use crate::sweep::Sweep;
 
-/// One benchmark's slot attribution under one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakdownRow {
-    /// The attribution.
-    pub slots: CycleBreakdown,
-}
-
 /// Per-benchmark slot attribution for baseline and VP machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakdownResult {

@@ -18,11 +18,6 @@ pub struct Fig34Result {
 }
 
 impl Fig34Result {
-    /// Fraction of dependencies with DID ≥ 4, per benchmark.
-    pub fn long_fractions(&self) -> Vec<(String, f64)> {
-        self.rows.iter().map(|(n, h)| (n.clone(), h.fraction_at_least(4))).collect()
-    }
-
     /// The suite-average fraction with DID ≥ 4 (the paper's ≈60%).
     pub fn average_long_fraction(&self) -> f64 {
         mean(&self.rows.iter().map(|(_, h)| h.fraction_at_least(4)).collect::<Vec<_>>())

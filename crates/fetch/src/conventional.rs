@@ -69,11 +69,6 @@ impl<P: BranchPredictor> ConventionalFetch<P> {
     pub fn max_taken(&self) -> Option<u32> {
         self.max_taken
     }
-
-    /// Access to the embedded branch predictor.
-    pub fn bpred_mut(&mut self) -> &mut P {
-        &mut self.bpred
-    }
 }
 
 impl<P: BranchPredictor> FetchEngine for ConventionalFetch<P> {

@@ -477,12 +477,6 @@ impl SharedRegistry {
         self.lock().merge(other);
     }
 
-    /// Exports a [`MetricsSink`] under `prefix`, like
-    /// [`MetricsSink::export_metrics`] on a plain registry.
-    pub fn export_from(&self, sink: &dyn MetricsSink, prefix: &str) {
-        sink.export_metrics(&mut self.lock(), prefix);
-    }
-
     /// A copy of the histogram stored at `key`, if any — how the server
     /// reads its live latency distribution (e.g. to derive a
     /// `Retry-After` hint from the observed drain rate) without cloning

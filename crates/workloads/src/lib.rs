@@ -100,59 +100,13 @@ impl Workload {
 /// SPECfp stencil kernel that appears on the axis of the paper's
 /// Figure 5.3.
 pub fn extended_suite(params: &WorkloadParams) -> Vec<Workload> {
-    let mut all = suite(params);
-    all.push(Workload {
-        name: "mgrid",
-        description: "Multi-grid solver in 3D potential field (SPECfp95).",
-        program: mgrid::build(params, &Knobs::default()),
-    });
-    all
+    families().iter().map(|family| legacy(family, params)).collect()
 }
 
 /// Builds the full 8-benchmark suite in the paper's order.
 pub fn suite(params: &WorkloadParams) -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "go",
-            description: "Game playing.",
-            program: go::build(params, &Knobs::default()),
-        },
-        Workload {
-            name: "m88ksim",
-            description: "A simulator for the 88100 processor.",
-            program: m88ksim::build(params, &Knobs::default()),
-        },
-        Workload {
-            name: "gcc",
-            description: "A GNU C compiler version 2.5.3.",
-            program: gcc::build(params, &Knobs::default()),
-        },
-        Workload {
-            name: "compress",
-            description: "Data compression program using adaptive Lempel-Ziv coding.",
-            program: compress::build(params, &Knobs::default()),
-        },
-        Workload {
-            name: "li",
-            description: "Lisp interpreter.",
-            program: li::build(params, &Knobs::default()),
-        },
-        Workload {
-            name: "ijpeg",
-            description: "JPEG encoder.",
-            program: ijpeg::build(params, &Knobs::default()),
-        },
-        Workload {
-            name: "perl",
-            description: "Anagram search program.",
-            program: perl::build(params, &Knobs::default()),
-        },
-        Workload {
-            name: "vortex",
-            description: "A single-user object-oriented database transaction benchmark.",
-            program: vortex::build(params, &Knobs::default()),
-        },
-    ]
+    let integer = families().into_iter().filter(|family| family.name() != "mgrid");
+    integer.map(|family| legacy(&family, params)).collect()
 }
 
 /// Builds one workload by name.
@@ -161,7 +115,16 @@ pub fn suite(params: &WorkloadParams) -> Vec<Workload> {
 /// `go`, `m88ksim`, `gcc`, `compress`, `li`, `ijpeg`, `perl`, `vortex` —
 /// plus `mgrid` (see [`extended_suite`]).
 pub fn by_name(name: &str, params: &WorkloadParams) -> Option<Workload> {
-    extended_suite(params).into_iter().find(|w| w.name == name)
+    family_by_name(name).map(|family| legacy(&family, params))
+}
+
+/// A family's legacy benchmark: the family at all-zero knobs.
+fn legacy(family: &WorkloadFamily, params: &WorkloadParams) -> Workload {
+    Workload {
+        name: family.name(),
+        description: family.description(),
+        program: family.program(params, &Knobs::default()),
+    }
 }
 
 #[cfg(test)]
